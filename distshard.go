@@ -19,18 +19,16 @@ import (
 	"github.com/approxdb/congress/pkg/client"
 )
 
-// This file is the distributed half of sharding: a Coordinator that
-// fronts K congressd shard *processes* the way ShardedWarehouse fronts
-// K in-process warehouses. Each shard process owns a durable partition
-// of every table (its own -data-dir, WAL and snapshots) plus the
-// congressional synopsis over that partition; the coordinator routes
-// inserts by the finest grouping key through the same shard.Router and
-// answers estimates by fanning the partials scan out over HTTP
-// (/v1/estimate/partials), merging with estimate.MergePartials, and
-// taking the confidence interval exactly once with estimate.Finalize —
-// per-shard half-widths are never summed. With finest-key routing the
-// distributed answer is numerically identical to a single warehouse
-// over the same strata, which the differential tests pin to 1e-9.
+// This file is the scatter-gather Coordinator. It fronts K shards —
+// in-process warehouses (localShard, sharded.go) or congressd processes
+// reached over HTTP (RemoteShard, below) — and runs every cross-shard
+// operation once, over ShardBackend legs: inserts route by the finest
+// grouping key through shard.Router; estimates fan the partials scan out,
+// merge with estimate.MergePartials, and take the confidence interval
+// exactly once with estimate.Finalize — per-shard half-widths are never
+// summed. With finest-key routing the merged answer is numerically
+// identical to a single warehouse over the same strata, which the
+// differential tests pin to 1e-9.
 
 // ErrShardUnavailable marks a scatter-gather leg that failed terminally
 // at the transport or availability layer after exhausting its retries:
@@ -40,45 +38,47 @@ import (
 // shard — so the whole query fails with this typed error.
 var ErrShardUnavailable = errors.New("congress: shard unavailable")
 
-// ShardBackend is one scatter-gather leg: anything that can run the
-// partials scan for its slice of a table. In-process shard warehouses
-// and RemoteShard (a congressd process reached over HTTP) both satisfy
-// it, which is what lets ShardedWarehouse and Coordinator share the
-// fan-out/merge machinery.
+// ShardBackend is one scatter-gather leg: the per-shard operations a
+// Coordinator fans out. An in-process *Warehouse (OpenSharded) and
+// RemoteShard (a congressd process, NewCoordinator) are its two
+// implementations, and the only difference between the two modes. A leg
+// holding no synopsis for the table answers ErrNoSynopsis (the shard had
+// no rows of it at build time); the Coordinator skips such legs.
 type ShardBackend interface {
+	// EstimatePartials runs the partials scan over the shard's sample.
 	EstimatePartials(ctx context.Context, table string, grouping []string, aggCol string, opts PartialsOptions) ([]GroupPartial, error)
+	// Insert appends rows whose home is this shard and reports how many
+	// were applied.
+	Insert(ctx context.Context, table string, rows []Row) (int, error)
+	// Refresh re-materializes the shard's sample of the table.
+	Refresh(ctx context.Context, table string) error
+	// Synopses lists the shard's synopses.
+	Synopses(ctx context.Context) ([]SynopsisInfo, error)
+	// AllocationTable reports the shard's allocation for the table.
+	AllocationTable(ctx context.Context, table string) ([]AllocationRow, error)
 }
 
-// localShard adapts an in-process *Warehouse to ShardBackend.
-type localShard struct{ w *Warehouse }
-
-func (s localShard) EstimatePartials(ctx context.Context, table string, grouping []string, aggCol string, opts PartialsOptions) ([]GroupPartial, error) {
-	return s.w.EstimatePartialsOpts(ctx, table, grouping, aggCol, opts)
-}
-
-// scatterPartials fans the partials scan across every backend with
-// cancel-on-first-terminal-failure, recording per-leg latency and
-// errors in tel. Legs that report ErrNoSynopsis contribute nothing (the
-// shard held no rows of the table at build time); emptyLegs counts them
-// so callers can distinguish "some shards skipped" from "no shard has
-// this synopsis at all".
-func scatterPartials(ctx context.Context, tel *shard.Telemetry, backends []ShardBackend, table string, grouping []string, aggCol string, opts PartialsOptions) (parts [][]estimate.GroupPartial, emptyLegs int, err error) {
+// scatter runs fn on every leg with cancel-on-first-failure (see
+// shard.Fanout). Legs answering ErrNoSynopsis contribute the zero value;
+// when every leg does, the error wraps ErrNoSynopsis.
+func scatter[T any](ctx context.Context, co *Coordinator, table string, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	var empty atomic.Int32
-	parts, err = shard.Fanout(ctx, len(backends), func(ctx context.Context, i int) ([]estimate.GroupPartial, error) {
-		start := time.Now()
-		p, err := backends[i].EstimatePartials(ctx, table, grouping, aggCol, opts)
-		if err != nil {
-			if errors.Is(err, ErrNoSynopsis) {
-				empty.Add(1)
-				return nil, nil
-			}
-			tel.FanoutError(i)
-			return nil, err
+	out, err := shard.Fanout(ctx, len(co.legs), func(ctx context.Context, i int) (T, error) {
+		v, err := fn(ctx, i)
+		if errors.Is(err, ErrNoSynopsis) {
+			empty.Add(1)
+			var zero T
+			return zero, nil
 		}
-		tel.ObserveFanout(i, time.Since(start))
-		return p, nil
+		return v, err
 	})
-	return parts, int(empty.Load()), err
+	if err != nil {
+		return nil, err
+	}
+	if int(empty.Load()) == len(co.legs) {
+		return nil, fmt.Errorf("%w %q", ErrNoSynopsis, table)
+	}
+	return out, nil
 }
 
 // CoordinatorOptions tunes the coordinator's per-leg failure handling.
@@ -115,7 +115,7 @@ func (o *CoordinatorOptions) withDefaults() {
 
 // RemoteShard is one shard process seen from the coordinator: a
 // pkg/client handle plus the retry policy for its scatter-gather legs.
-// It satisfies ShardBackend, so the merge path cannot tell a remote
+// It is the HTTP ShardBackend, so the merge path cannot tell a remote
 // shard from an in-process one.
 type RemoteShard struct {
 	ord        int
@@ -156,6 +156,16 @@ func mapShardError(err error) (mapped error, terminal bool) {
 		return err, false
 	}
 	return err, true // remaining 4xx: retrying the same request cannot help
+}
+
+// wrapErr maps a shard client error for callers: typed sentinels pass
+// through, everything transport/availability-shaped wraps
+// ErrShardUnavailable with the shard's identity.
+func (rs *RemoteShard) wrapErr(err error) error {
+	if mapped, terminal := mapShardError(err); terminal {
+		return mapped
+	}
+	return fmt.Errorf("%w: shard %d (%s): %v", ErrShardUnavailable, rs.ord, rs.endpoint, err)
 }
 
 // EstimatePartials runs the partials scan on the remote shard with
@@ -213,33 +223,127 @@ func (rs *RemoteShard) EstimatePartials(ctx context.Context, table string, group
 		ErrShardUnavailable, rs.ord, rs.endpoint, rs.retries+1, lastErr)
 }
 
-// coordTable is the coordinator's handle to one distributed table: the
-// schema and finest-grouping router key discovered from the shards.
-type coordTable struct {
-	co     *Coordinator
-	name   string
-	cols   []engine.Column
-	g      *core.Grouping
-	maxCol int
+// Insert forwards rows to the shard process in one request. It is not
+// retried on transport failure — the coordinator cannot know whether the
+// shard applied the rows before the connection died, and a blind retry
+// could double-insert; the caller sees ErrShardUnavailable and decides.
+// (429 shedding is retried inside the client: shed requests are
+// rejected before execution, so that retry is safe.)
+func (rs *RemoteShard) Insert(ctx context.Context, table string, rows []Row) (int, error) {
+	wire := make([][]any, len(rows))
+	for i, row := range rows {
+		wire[i] = wireRow(row)
+	}
+	ctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
+	defer cancel()
+	resp, err := rs.c.Insert(ctx, client.InsertRequest{Table: table, Rows: wire})
+	if err != nil {
+		return 0, rs.wrapErr(err)
+	}
+	return resp.Inserted, nil
 }
 
-// Coordinator fronts a static membership of congressd shard processes:
-// inserts route by the finest grouping key, estimates scatter-gather
-// partials over HTTP and merge exactly as the in-process path does. It
-// serves the same backend surface as Warehouse/ShardedWarehouse, so
-// congressd -coordinator mounts it behind the ordinary /v1 API. Safe
-// for concurrent use after Discover.
+// Refresh re-materializes the shard's sample: an insert of no rows with
+// refresh=true.
+func (rs *RemoteShard) Refresh(ctx context.Context, table string) error {
+	ctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
+	defer cancel()
+	if _, err := rs.c.Insert(ctx, client.InsertRequest{Table: table, Refresh: true}); err != nil {
+		return rs.wrapErr(err)
+	}
+	return nil
+}
+
+// Synopses lists the shard process's synopses from its /v1/synopses.
+func (rs *RemoteShard) Synopses(ctx context.Context) ([]SynopsisInfo, error) {
+	list, err := rs.synopses(ctx, false)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]SynopsisInfo, len(list))
+	for i, ci := range list {
+		out[i] = SynopsisInfo{
+			Table:          ci.Table,
+			GroupBy:        ci.GroupBy,
+			Strategy:       ci.Strategy,
+			Space:          ci.Space,
+			SampleSize:     ci.SampleSize,
+			Strata:         ci.Strata,
+			PendingInserts: ci.PendingInserts,
+		}
+	}
+	return out, nil
+}
+
+// AllocationTable reports the shard's allocation rows for the table,
+// from its /v1/synopses?allocation=1 listing.
+func (rs *RemoteShard) AllocationTable(ctx context.Context, table string) ([]AllocationRow, error) {
+	list, err := rs.synopses(ctx, true)
+	if err != nil {
+		return nil, err
+	}
+	for _, ci := range list {
+		if !strings.EqualFold(ci.Table, table) {
+			continue
+		}
+		rows := make([]AllocationRow, len(ci.Allocation))
+		for i, ar := range ci.Allocation {
+			rows[i] = AllocationRow{
+				Group:      ar.Group,
+				Population: ar.Population,
+				PreScale:   ar.PreScale,
+				Target:     ar.Target,
+				Actual:     ar.Actual,
+			}
+		}
+		return rows, nil
+	}
+	return nil, fmt.Errorf("%w %q", ErrNoSynopsis, table)
+}
+
+func (rs *RemoteShard) synopses(ctx context.Context, withAllocation bool) ([]client.SynopsisInfo, error) {
+	ctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
+	defer cancel()
+	list, err := rs.c.Synopses(ctx, withAllocation)
+	if err != nil {
+		return nil, rs.wrapErr(err)
+	}
+	return list, nil
+}
+
+// Coordinator fronts K shards, in-process (OpenSharded) or congressd
+// processes (NewCoordinator): inserts route by the finest grouping key,
+// estimates scatter-gather partials and merge them, and refreshes,
+// synopsis listings and allocation tables fan out over the same legs.
+// congressd mounts it behind the ordinary /v1 API. Safe for concurrent
+// use (over HTTP legs: after Discover).
 type Coordinator struct {
-	router   *shard.Router
-	tel      *shard.Telemetry
-	mtel     *metrics.Telemetry // coordinator-level engine counters (hybrid composition)
-	mem      *shard.Membership
-	shards   []*RemoteShard
-	backends []ShardBackend // the shards, as scatter legs
-	opts     CoordinatorOptions
+	router *shard.Router
+	tel    *shard.Telemetry
+	mtel   *metrics.Telemetry // coordinator-level engine counters (hybrid composition)
+	legs   []ShardBackend
+	mem    *shard.Membership // HTTP membership; nil over in-process legs
+	opts   CoordinatorOptions
 
 	mu     sync.RWMutex
-	tables map[string]*coordTable // lower-cased name → handle
+	tables map[string]*ShardedTable // lower-cased name → handle
+}
+
+// newCoordinator returns a coordinator for n shards with no legs yet;
+// the caller appends one per shard ordinal.
+func newCoordinator(n int, opts CoordinatorOptions) (*Coordinator, error) {
+	router, err := shard.NewRouter(n)
+	if err != nil {
+		return nil, fmt.Errorf("congress: %w", err)
+	}
+	opts.withDefaults()
+	return &Coordinator{
+		router: router,
+		tel:    shard.NewTelemetry(n),
+		mtel:   metrics.NewTelemetry(),
+		opts:   opts,
+		tables: make(map[string]*ShardedTable),
+	}, nil
 }
 
 // NewCoordinator builds a coordinator over the shard endpoints (index
@@ -251,25 +355,18 @@ func NewCoordinator(endpoints []string, opts CoordinatorOptions) (*Coordinator, 
 	if err != nil {
 		return nil, fmt.Errorf("congress: %w", err)
 	}
-	opts.withDefaults()
-	router, err := shard.NewRouter(len(mem.Endpoints))
+	co, err := newCoordinator(len(mem.Endpoints), opts)
 	if err != nil {
-		return nil, fmt.Errorf("congress: %w", err)
+		return nil, err
 	}
-	co := &Coordinator{
-		router: router,
-		tel:    shard.NewTelemetry(len(mem.Endpoints)),
-		mtel:   metrics.NewTelemetry(),
-		mem:    mem,
-		opts:   opts,
-		tables: make(map[string]*coordTable),
-	}
+	co.mem = mem
+	opts = co.opts // with defaults applied
 	for i, ep := range mem.Endpoints {
 		copts := []client.Option{client.WithRetry(opts.Retries, opts.MaxBackoff)}
 		if opts.HTTPClient != nil {
 			copts = append(copts, client.WithHTTPClient(opts.HTTPClient))
 		}
-		rs := &RemoteShard{
+		co.legs = append(co.legs, &RemoteShard{
 			ord:        i,
 			endpoint:   ep,
 			c:          client.New(ep, copts...),
@@ -277,32 +374,44 @@ func NewCoordinator(endpoints []string, opts CoordinatorOptions) (*Coordinator, 
 			legTimeout: opts.LegTimeout,
 			retries:    opts.Retries,
 			maxBackoff: opts.MaxBackoff,
-		}
-		co.shards = append(co.shards, rs)
-		co.backends = append(co.backends, rs)
+		})
 	}
 	return co, nil
 }
 
 // NumShards returns the configured shard count.
-func (co *Coordinator) NumShards() int { return len(co.shards) }
+func (co *Coordinator) NumShards() int { return len(co.legs) }
 
-// Endpoints returns the shard base URLs in ordinal order.
-func (co *Coordinator) Endpoints() []string { return co.mem.Endpoints }
+// Endpoints returns the shard base URLs in ordinal order (nil over
+// in-process legs).
+func (co *Coordinator) Endpoints() []string {
+	if co.mem == nil {
+		return nil
+	}
+	return co.mem.Endpoints
+}
 
-// Shard returns the i-th remote shard (diagnostics, tests).
-func (co *Coordinator) Shard(i int) *RemoteShard { return co.shards[i] }
+// Shard returns the i-th remote shard (diagnostics, tests); nil when the
+// leg is an in-process warehouse.
+func (co *Coordinator) Shard(i int) *RemoteShard {
+	rs, _ := co.legs[i].(*RemoteShard)
+	return rs
+}
 
 // ShardTelemetry returns the coordinator's per-shard counters, rendered
-// on /metrics as congress_distshard_*.
+// on /metrics as congress_shard_* (in-process) or congress_distshard_*.
 func (co *Coordinator) ShardTelemetry() *shard.Telemetry { return co.tel }
 
 // WaitHealthy blocks until every shard process answers its health probe
 // or ctx expires; the timeout error names the shards still down.
+// In-process legs are always up: over them it returns nil at once.
 func (co *Coordinator) WaitHealthy(ctx context.Context, interval time.Duration) error {
-	byEndpoint := make(map[string]*RemoteShard, len(co.shards))
-	for _, rs := range co.shards {
-		byEndpoint[rs.endpoint] = rs
+	if co.mem == nil {
+		return nil
+	}
+	byEndpoint := make(map[string]*RemoteShard, len(co.legs))
+	for i := range co.legs {
+		byEndpoint[co.Shard(i).endpoint] = co.Shard(i)
 	}
 	return co.mem.WaitHealthy(ctx, interval, func(ctx context.Context, endpoint string) error {
 		pctx, cancel := context.WithTimeout(ctx, co.opts.LegTimeout)
@@ -315,15 +424,20 @@ func (co *Coordinator) WaitHealthy(ctx context.Context, interval time.Duration) 
 // schemas, verifies the shards agree (same grouping and columns for
 // every shared table — a disagreeing shard would merge partials from a
 // different stratification), and registers the routing state. Call once
-// after WaitHealthy; re-call to pick up tables created later.
+// after WaitHealthy; re-call to pick up tables created later. Over
+// in-process legs it returns nil: OpenSharded registers its tables at
+// CreateTable and AttachRelation.
 func (co *Coordinator) Discover(ctx context.Context) error {
-	infos, err := shard.Fanout(ctx, len(co.shards), func(ctx context.Context, i int) ([]client.SynopsisInfo, error) {
+	if co.mem == nil {
+		return nil
+	}
+	infos, err := shard.Fanout(ctx, len(co.legs), func(ctx context.Context, i int) ([]client.SynopsisInfo, error) {
 		actx, cancel := context.WithTimeout(ctx, co.opts.LegTimeout)
 		defer cancel()
-		out, err := co.shards[i].c.Synopses(actx, false)
+		out, err := co.Shard(i).c.Synopses(actx, false)
 		if err != nil {
 			return nil, fmt.Errorf("%w: shard %d (%s): discovery: %v",
-				ErrShardUnavailable, i, co.shards[i].endpoint, err)
+				ErrShardUnavailable, i, co.Shard(i).endpoint, err)
 		}
 		return out, nil
 	})
@@ -349,12 +463,12 @@ func (co *Coordinator) Discover(ctx context.Context) error {
 			}
 		}
 	}
-	tables := make(map[string]*coordTable, len(first))
+	tables := make(map[string]*ShardedTable, len(first))
 	for key, at := range first {
 		si := at.info
 		if len(si.Columns) == 0 {
 			return fmt.Errorf("congress: shard %d (%s) reports no schema for table %q — upgrade the shard congressd",
-				at.shard, co.shards[at.shard].endpoint, si.Table)
+				at.shard, co.Shard(at.shard).endpoint, si.Table)
 		}
 		cols := make([]engine.Column, len(si.Columns))
 		for j, cs := range si.Columns {
@@ -372,13 +486,7 @@ func (co *Coordinator) Discover(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("congress: table %q routing grouping: %w", si.Table, err)
 		}
-		ct := &coordTable{co: co, name: si.Table, cols: cols, g: g}
-		for _, c := range g.Columns() {
-			if c > ct.maxCol {
-				ct.maxCol = c
-			}
-		}
-		tables[key] = ct
+		tables[key] = &ShardedTable{co: co, name: si.Table, cols: cols, g: g}
 	}
 	co.mu.Lock()
 	co.tables = tables
@@ -415,57 +523,49 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// Table returns the handle to a discovered table; the error wraps
+// Table returns the handle to a registered table; the error wraps
 // ErrUnknownTable for errors.Is classification.
-func (co *Coordinator) Table(name string) (*coordTable, error) {
+func (co *Coordinator) Table(name string) (*ShardedTable, error) {
 	co.mu.RLock()
-	ct := co.tables[strings.ToLower(name)]
+	t := co.tables[strings.ToLower(name)]
 	co.mu.RUnlock()
-	if ct == nil {
+	if t == nil {
 		return nil, fmt.Errorf("congress: %w %q", ErrUnknownTable, name)
 	}
-	return ct, nil
+	return t, nil
 }
 
-// Columns returns the table's schema columns in order.
-func (t *coordTable) Columns() []engine.Column {
-	out := make([]engine.Column, len(t.cols))
-	copy(out, t.cols)
-	return out
+// ShardedTable is a handle to a table partitioned across a Coordinator's
+// shards: its schema and the routing grouping whose key picks each
+// row's home shard.
+type ShardedTable struct {
+	co   *Coordinator
+	name string
+	cols []engine.Column
+	g    *core.Grouping
 }
 
-// Name returns the table name as the shards report it.
-func (t *coordTable) Name() string { return t.name }
+// Columns returns a copy of the table's schema columns, in order.
+func (t *ShardedTable) Columns() []engine.Column {
+	return append([]engine.Column(nil), t.cols...)
+}
+
+// Name returns the table name.
+func (t *ShardedTable) Name() string { return t.name }
 
 // RouteOf reports which shard a row's routing key maps to.
-func (t *coordTable) RouteOf(row Row) int { return t.co.router.Route(t.g.Key(row)) }
+func (t *ShardedTable) RouteOf(row Row) int { return t.co.router.Route(t.g.Key(row)) }
 
-// Insert routes one row to its home shard process. Inserts are not
-// retried on transport failure — the coordinator cannot know whether
-// the shard applied the row before the connection died, and a blind
-// retry could double-insert; the caller sees ErrShardUnavailable and
-// decides. (429 shedding is retried inside the client: shed requests
-// are rejected before execution, so that retry is safe.)
-func (t *coordTable) Insert(vals ...Value) error {
-	return t.insertCtx(context.Background(), vals)
-}
-
-func (t *coordTable) insertCtx(ctx context.Context, vals []Value) error {
+// Insert routes one row to its home shard and appends it there; the
+// shard's synopsis maintainer (if any) is fed as on an unsharded
+// warehouse.
+func (t *ShardedTable) Insert(vals ...Value) error {
 	row := Row(vals)
-	if len(row) != len(t.cols) {
-		return fmt.Errorf("%w: row has %d values, table %q has %d columns",
-			ErrBadQuery, len(row), t.name, len(t.cols))
+	if err := t.checkArity(row); err != nil {
+		return err
 	}
-	i := t.co.router.Route(t.g.Key(row))
-	rs := t.co.shards[i]
-	cctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
-	defer cancel()
-	_, err := rs.c.Insert(cctx, client.InsertRequest{Table: t.name, Rows: [][]any{wireRow(row)}})
-	if err != nil {
-		return t.co.wrapShardErr(i, err)
-	}
-	t.co.tel.AddInserts(i, 1)
-	return nil
+	_, err := t.insertOn(context.Background(), t.RouteOf(row), []Row{row})
+	return err
 }
 
 // InsertBatch routes a batch of rows, grouping by home shard and
@@ -473,97 +573,58 @@ func (t *coordTable) insertCtx(ctx context.Context, vals []Value) error {
 // acknowledged; on a failed leg the rows of *other* shards may still
 // have been applied (per-shard inserts are independent), which the
 // returned count reflects.
-func (t *coordTable) InsertBatch(ctx context.Context, rows []Row) (int, error) {
+func (t *ShardedTable) InsertBatch(ctx context.Context, rows []Row) (int, error) {
+	parts := make([][]Row, len(t.co.legs))
 	for _, row := range rows {
-		if len(row) != len(t.cols) {
-			return 0, fmt.Errorf("%w: row has %d values, table %q has %d columns",
-				ErrBadQuery, len(row), t.name, len(t.cols))
+		if err := t.checkArity(row); err != nil {
+			return 0, err
 		}
-	}
-	parts := make([][][]any, len(t.co.shards))
-	counts := make([]int, len(t.co.shards))
-	for _, row := range rows {
-		i := t.co.router.Route(t.g.Key(row))
-		parts[i] = append(parts[i], wireRow(row))
-		counts[i]++
+		i := t.RouteOf(row)
+		parts[i] = append(parts[i], row)
 	}
 	var acked atomic.Int64
-	_, err := shard.Fanout(ctx, len(t.co.shards), func(ctx context.Context, i int) (struct{}, error) {
+	_, err := shard.Fanout(ctx, len(parts), func(ctx context.Context, i int) (struct{}, error) {
 		if len(parts[i]) == 0 {
 			return struct{}{}, nil
 		}
-		rs := t.co.shards[i]
-		cctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
-		defer cancel()
-		resp, err := rs.c.Insert(cctx, client.InsertRequest{Table: t.name, Rows: parts[i]})
-		if err != nil {
-			t.co.tel.FanoutError(i)
-			return struct{}{}, t.co.wrapShardErr(i, err)
-		}
-		acked.Add(int64(resp.Inserted))
-		t.co.tel.AddInserts(i, int64(counts[i]))
-		return struct{}{}, nil
+		n, err := t.insertOn(ctx, i, parts[i])
+		acked.Add(int64(n))
+		return struct{}{}, err
 	})
 	return int(acked.Load()), err
 }
 
-// wrapShardErr maps a shard client error for callers: typed sentinels
-// pass through, everything transport/availability-shaped wraps
-// ErrShardUnavailable with the shard's identity.
-func (co *Coordinator) wrapShardErr(i int, err error) error {
-	if mapped, terminal := mapShardError(err); terminal {
-		return mapped
+func (t *ShardedTable) checkArity(row Row) error {
+	if len(row) != len(t.cols) {
+		return fmt.Errorf("%w: row has %d values, table %q has %d columns",
+			ErrBadQuery, len(row), t.name, len(t.cols))
 	}
-	return fmt.Errorf("%w: shard %d (%s): %v", ErrShardUnavailable, i, co.shards[i].endpoint, err)
+	return nil
 }
 
-// EstimatePartialsCtx scatter-gathers the partials scan across the
-// shard processes and merges — no confidence interval yet, so a
-// coordinator can itself serve /v1/estimate/partials to a higher-tier
-// coordinator (fan-out trees).
-func (co *Coordinator) EstimatePartialsCtx(ctx context.Context, table string, grouping []string, aggCol string) ([]GroupPartial, error) {
-	return co.EstimatePartialsOpts(ctx, table, grouping, aggCol, PartialsOptions{})
-}
-
-// EstimatePartialsOpts is EstimatePartialsCtx with options; NoHybrid is
-// forwarded to every shard process, so the whole fan-out answers either
-// hybrid (each covered shard exactly) or pure-sample.
-func (co *Coordinator) EstimatePartialsOpts(ctx context.Context, table string, grouping []string, aggCol string, opts PartialsOptions) ([]GroupPartial, error) {
-	parts, emptyLegs, err := scatterPartials(ctx, co.tel, co.backends, table, grouping, aggCol, opts)
+// insertOn appends rows to shard i, counting them in the shard telemetry.
+func (t *ShardedTable) insertOn(ctx context.Context, i int, rows []Row) (int, error) {
+	n, err := t.co.legs[i].Insert(ctx, t.name, rows)
 	if err != nil {
-		return nil, err
+		t.co.tel.FanoutError(i)
+		return n, err
 	}
-	if emptyLegs == len(co.backends) {
-		return nil, fmt.Errorf("%w %q", ErrNoSynopsis, table)
-	}
-	merged := estimate.MergePartials(parts...)
-	if !opts.NoHybrid && hasResidualMix(merged) {
-		co.mtel.HybridResidual()
-	}
-	return merged, nil
+	t.co.tel.AddInserts(i, int64(n))
+	return n, nil
 }
 
-// EstimateCtx answers a group-by estimate across the shard processes:
-// scatter partials, merge, then Finalize exactly once.
-func (co *Coordinator) EstimateCtx(ctx context.Context, table string, grouping []string, agg Aggregate, aggCol string, confidence float64) ([]GroupEstimate, error) {
-	merged, err := co.EstimatePartialsCtx(ctx, table, grouping, aggCol)
-	if err != nil {
-		return nil, err
-	}
-	return estimate.Finalize(merged, agg, confidence)
+// Estimate answers a group-by estimate across the shards — scatter the
+// partials scan, merge, then take the confidence interval once. The
+// arguments mean what they do for Warehouse.Estimate.
+func (co *Coordinator) Estimate(table string, grouping []string, agg Aggregate, aggCol string, confidence float64) ([]GroupEstimate, error) {
+	ests, _, err := co.EstimateQueryOpts(context.Background(), table, grouping, agg, aggCol, confidence, ApproxOptions{})
+	return ests, err
 }
 
-// EstimateQuery matches the Warehouse signature so congressd can serve
-// any backend. Distributed estimates always bypass the result cache,
-// exactly like in-process sharded ones: the merged answer spans every
-// shard's data epoch at once.
-func (co *Coordinator) EstimateQuery(ctx context.Context, table string, grouping []string, agg Aggregate, aggCol string, confidence float64, noCache bool) ([]GroupEstimate, CacheStatus, error) {
-	return co.EstimateQueryOpts(ctx, table, grouping, agg, aggCol, confidence, ApproxOptions{NoCache: noCache})
-}
-
-// EstimateQueryOpts is EstimateQuery with the full option set; only
-// NoHybrid is meaningful here (distributed estimates always bypass the
-// result cache).
+// EstimateQueryOpts is Estimate under a context, with options; only
+// NoHybrid applies. Merged answers always bypass the result cache — one
+// spans every shard's data epoch at once — so the status is always
+// CacheBypass.
 func (co *Coordinator) EstimateQueryOpts(ctx context.Context, table string, grouping []string, agg Aggregate, aggCol string, confidence float64, opts ApproxOptions) ([]GroupEstimate, CacheStatus, error) {
 	merged, err := co.EstimatePartialsOpts(ctx, table, grouping, aggCol, PartialsOptions{NoHybrid: opts.NoHybrid})
 	if err != nil {
@@ -573,9 +634,40 @@ func (co *Coordinator) EstimateQueryOpts(ctx context.Context, table string, grou
 	return ests, CacheBypass, err
 }
 
-// Metrics reports the coordinator's own engine counters (today: the
-// hybrid composition counter). Shard-process engine telemetry lives on
-// the shards' own /metrics endpoints.
+// EstimatePartialsOpts scatter-gathers the partials scan across the
+// shards and merges, without taking confidence intervals — the contract
+// of Warehouse.EstimatePartialsOpts, so a coordinator can itself serve
+// /v1/estimate/partials to a higher-tier coordinator. NoHybrid is
+// forwarded to every shard, so the fan-out answers either hybrid (each
+// covered shard exactly) or pure-sample. Legs observe ctx: the first
+// failing shard cancels its siblings, and per-shard leg latency lands in
+// ShardTelemetry.
+func (co *Coordinator) EstimatePartialsOpts(ctx context.Context, table string, grouping []string, aggCol string, opts PartialsOptions) ([]GroupPartial, error) {
+	parts, err := scatter(ctx, co, table, func(ctx context.Context, i int) ([]GroupPartial, error) {
+		start := time.Now()
+		p, err := co.legs[i].EstimatePartials(ctx, table, grouping, aggCol, opts)
+		switch {
+		case err == nil:
+			co.tel.ObserveFanout(i, time.Since(start))
+		case !errors.Is(err, ErrNoSynopsis):
+			co.tel.FanoutError(i)
+		}
+		return p, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	merged := estimate.MergePartials(parts...)
+	if !opts.NoHybrid && hasResidualMix(merged) {
+		co.mtel.HybridResidual()
+	}
+	return merged, nil
+}
+
+// Metrics reports the coordinator's own engine counters (the hybrid
+// composition counter). Shard-process engine telemetry lives on the
+// shards' own /metrics endpoints; ShardedWarehouse.Metrics adds its
+// in-process shards'.
 func (co *Coordinator) Metrics() MetricsSnapshot { return co.mtel.Snapshot() }
 
 // hasResidualMix reports whether merged partials compose exact mass
@@ -599,76 +691,40 @@ func hasResidualMix(parts []estimate.GroupPartial) bool {
 }
 
 // RefreshSynopsis re-materializes the table's sample on every shard
-// process holding a partition, in parallel (an empty insert with
-// refresh=true on each shard). Shards without the synopsis are skipped;
-// if no shard has it, the error wraps ErrNoSynopsis.
+// holding a partition, in parallel. Shards without the synopsis are
+// skipped; if no shard has it, the error wraps ErrNoSynopsis.
 func (co *Coordinator) RefreshSynopsis(table string) error {
-	var refreshed, missing atomic.Int32
-	_, err := shard.Fanout(context.Background(), len(co.shards), func(ctx context.Context, i int) (struct{}, error) {
-		rs := co.shards[i]
-		cctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
-		defer cancel()
-		_, err := rs.c.Insert(cctx, client.InsertRequest{Table: table, Refresh: true})
-		if err != nil {
-			mapped, terminal := mapShardError(err)
-			if terminal && errors.Is(mapped, ErrNoSynopsis) {
-				missing.Add(1)
-				return struct{}{}, nil
-			}
-			return struct{}{}, co.wrapShardErr(i, err)
-		}
-		refreshed.Add(1)
-		return struct{}{}, nil
+	_, err := scatter(context.Background(), co, table, func(ctx context.Context, i int) (struct{}, error) {
+		return struct{}{}, co.legs[i].Refresh(ctx, table)
 	})
-	if err != nil {
-		return err
-	}
-	if refreshed.Load() == 0 && missing.Load() == int32(len(co.shards)) {
-		return fmt.Errorf("%w %q", ErrNoSynopsis, table)
-	}
-	return nil
+	return err
 }
 
-// Synopses lists every synopsis merged across the shard processes
-// (sizes, strata and pending counts sum; Shards counts partitions),
-// sorted by table name. Shards that fail the listing are omitted — the
-// listing is diagnostic, not transactional.
+// Synopses lists every synopsis merged across the shards (sizes, strata
+// and pending counts sum; Shards counts partitions), sorted by table
+// name. Shards that fail the listing are omitted — the listing is
+// diagnostic, not transactional.
 func (co *Coordinator) Synopses() []SynopsisInfo {
 	ctx, cancel := context.WithTimeout(context.Background(), co.opts.LegTimeout)
 	defer cancel()
-	lists := make([][]client.SynopsisInfo, len(co.shards))
-	var wg sync.WaitGroup
-	for i := range co.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if out, err := co.shards[i].c.Synopses(ctx, false); err == nil {
-				lists[i] = out
-			}
-		}(i)
-	}
-	wg.Wait()
+	lists, _ := shard.Fanout(ctx, len(co.legs), func(ctx context.Context, i int) ([]SynopsisInfo, error) {
+		list, _ := co.legs[i].Synopses(ctx) // a failing shard is omitted
+		return list, nil
+	})
 	byTable := make(map[string]*SynopsisInfo)
 	for _, list := range lists {
-		for _, ci := range list {
-			m := byTable[ci.Table]
+		for _, info := range list {
+			m := byTable[info.Table]
 			if m == nil {
-				byTable[ci.Table] = &SynopsisInfo{
-					Table:          ci.Table,
-					GroupBy:        ci.GroupBy,
-					Strategy:       ci.Strategy,
-					Space:          ci.Space,
-					SampleSize:     ci.SampleSize,
-					Strata:         ci.Strata,
-					PendingInserts: ci.PendingInserts,
-					Shards:         1,
-				}
+				cp := info
+				cp.Shards = 1
+				byTable[info.Table] = &cp
 				continue
 			}
-			m.Space += ci.Space
-			m.SampleSize += ci.SampleSize
-			m.Strata += ci.Strata
-			m.PendingInserts += ci.PendingInserts
+			m.Space += info.Space
+			m.SampleSize += info.SampleSize
+			m.Strata += info.Strata
+			m.PendingInserts += info.PendingInserts
 			m.Shards++
 		}
 	}
@@ -680,35 +736,13 @@ func (co *Coordinator) Synopses() []SynopsisInfo {
 	return out
 }
 
-// AllocationTable concatenates the per-shard allocation tables exactly
-// like ShardedWarehouse: re-sorted by descending target, ties broken by
-// rendered group.
+// AllocationTable concatenates the per-shard allocation tables and
+// re-sorts by descending target allocation (ties broken by rendered
+// group, so the listing is deterministic). If no shard holds a synopsis
+// for the table, the error wraps ErrNoSynopsis.
 func (co *Coordinator) AllocationTable(table string) ([]AllocationRow, error) {
-	want := strings.ToLower(table)
-	lists, err := shard.Fanout(context.Background(), len(co.shards), func(ctx context.Context, i int) ([]AllocationRow, error) {
-		rs := co.shards[i]
-		cctx, cancel := context.WithTimeout(ctx, rs.legTimeout)
-		defer cancel()
-		infos, err := rs.c.Synopses(cctx, true)
-		if err != nil {
-			return nil, co.wrapShardErr(i, err)
-		}
-		var rows []AllocationRow
-		for _, ci := range infos {
-			if strings.ToLower(ci.Table) != want {
-				continue
-			}
-			for _, ar := range ci.Allocation {
-				rows = append(rows, AllocationRow{
-					Group:      ar.Group,
-					Population: ar.Population,
-					PreScale:   ar.PreScale,
-					Target:     ar.Target,
-					Actual:     ar.Actual,
-				})
-			}
-		}
-		return rows, nil
+	lists, err := scatter(context.Background(), co, table, func(ctx context.Context, i int) ([]AllocationRow, error) {
+		return co.legs[i].AllocationTable(ctx, table)
 	})
 	if err != nil {
 		return nil, err
@@ -716,9 +750,6 @@ func (co *Coordinator) AllocationTable(table string) ([]AllocationRow, error) {
 	var out []AllocationRow
 	for _, rows := range lists {
 		out = append(out, rows...)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("congress: no synopsis for %q", table)
 	}
 	sort.SliceStable(out, func(a, b int) bool {
 		if out[a].Target != out[b].Target {

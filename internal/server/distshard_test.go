@@ -257,9 +257,9 @@ func TestDistShardKilledShard(t *testing.T) {
 	}
 
 	// Direct (non-HTTP) classification: errors.Is must see the sentinel.
-	_, cerr := cl.co.EstimateCtx(ctx, "lineitem", []string{"l_returnflag"}, congress.Sum, "l_quantity", 0.95)
+	_, cerr := cl.co.Estimate("lineitem", []string{"l_returnflag"}, congress.Sum, "l_quantity", 0.95)
 	if !errors.Is(cerr, congress.ErrShardUnavailable) {
-		t.Errorf("EstimateCtx error %v, want ErrShardUnavailable", cerr)
+		t.Errorf("Estimate error %v, want ErrShardUnavailable", cerr)
 	}
 
 	// The retry counter must have moved: the dead leg was retried before
@@ -277,67 +277,161 @@ func TestDistShardKilledShard(t *testing.T) {
 }
 
 // TestDistShardCoordinatorModeSurface: the coordinator serves the same
-// API surface as sharded mode — SQL paths answer 400, snapshots 409,
-// healthz reports the coordinator role, synopses merge across shard
-// processes — and /v1/estimate/partials works on the coordinator
-// itself, so deployments can tier coordinators.
+// API surface as the other two backends, a single warehouse and an
+// in-process sharded one, each run as one input over the same data.
+// Synopses merge across shards and ship the schema; allocation rows
+// concatenate into one listing sorted by descending target; refresh and
+// estimate on an unknown table are 404; /v1/estimate/partials is served
+// in every mode, so deployments can tier coordinators. The sharded
+// modes answer the SQL paths 400, every mode without a data directory
+// answers snapshots 409, and healthz reports the mode's role.
 func TestDistShardCoordinatorModeSurface(t *testing.T) {
 	cl := newDistCluster(t, 2, 1500)
 	ctx := context.Background()
-
-	if _, err := cl.c.Query(ctx, client.QueryRequest{SQL: "select count(*) from lineitem"}); err == nil {
-		t.Error("SQL query accepted in coordinator mode")
-	}
-	if _, err := cl.c.Exact(ctx, client.ExactRequest{SQL: "select count(*) from lineitem"}); err == nil {
-		t.Error("/v1/exact accepted in coordinator mode")
-	}
-	if _, err := cl.c.Snapshot(ctx); err == nil {
-		t.Error("/v1/snapshot accepted in coordinator mode")
-	} else if ae, ok := err.(*client.APIError); !ok || ae.Code != "not_persistent" {
-		t.Errorf("snapshot error = %v, want not_persistent", err)
-	}
-
-	infos, err := cl.c.Synopses(ctx, false)
+	_, single := testServer(t, Options{Warehouse: cl.single})
+	_, sharded := testServer(t, Options{Sharded: cl.sw})
+	wantAlloc, err := cl.single.AllocationTable("lineitem")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 1 || infos[0].Table != "lineitem" || infos[0].Shards < 1 {
-		t.Fatalf("synopses: %+v", infos)
+	wantParts, err := cl.single.EstimatePartialsOpts(ctx, "lineitem", []string{"l_returnflag"}, "l_quantity", congress.PartialsOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(infos[0].Columns) != 6 {
-		t.Errorf("coordinator synopses ship %d columns, want 6", len(infos[0].Columns))
-	}
+	for _, m := range []struct {
+		name   string
+		c      *client.Client
+		shards int // the Shards a merged synopsis reports (0: unsharded)
+		sql    bool
+		role   string
+	}{
+		{"warehouse", single, 0, true, "standalone"},
+		{"sharded", sharded, cl.sw.Synopses()[0].Shards, false, "standalone"},
+		{"coordinator", cl.c, cl.sw.Synopses()[0].Shards, false, "coordinator"},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			c := m.c
+			if _, err := c.Query(ctx, client.QueryRequest{SQL: "select count(*) from lineitem"}); (err == nil) != m.sql {
+				t.Errorf("SQL query error = %v, want accepted=%v", err, m.sql)
+			}
+			if _, err := c.Exact(ctx, client.ExactRequest{SQL: "select count(*) from lineitem"}); (err == nil) != m.sql {
+				t.Errorf("/v1/exact error = %v, want accepted=%v", err, m.sql)
+			}
+			if _, err := c.Snapshot(ctx); err == nil {
+				t.Error("/v1/snapshot accepted without a data directory")
+			} else if ae, ok := err.(*client.APIError); !ok || ae.Code != "not_persistent" {
+				t.Errorf("snapshot error = %v, want not_persistent", err)
+			}
 
-	// Tiering: the coordinator's own partials must merge to the same
-	// state a shard-level merge produces.
-	parts, err := cl.c.Partials(ctx, client.PartialsRequest{
-		Table: "lineitem", GroupBy: []string{"l_returnflag"}, Column: "l_quantity",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts.Partials) == 0 {
-		t.Fatal("coordinator partials empty")
-	}
-	wantParts, err := cl.single.EstimatePartialsCtx(ctx, "lineitem", []string{"l_returnflag"}, "l_quantity")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts.Partials) != len(wantParts) {
-		t.Errorf("coordinator partials: %d groups, want %d", len(parts.Partials), len(wantParts))
-	}
+			infos, err := c.Synopses(ctx, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(infos) != 1 || infos[0].Table != "lineitem" || infos[0].Shards != m.shards {
+				t.Fatalf("synopses: %+v, want one lineitem entry over %d shards", infos, m.shards)
+			}
+			if len(infos[0].Columns) != 6 {
+				t.Errorf("synopses ship %d columns, want 6", len(infos[0].Columns))
+			}
+			alloc := infos[0].Allocation
+			if len(alloc) != len(wantAlloc) {
+				t.Errorf("allocation lists %d groups, want %d", len(alloc), len(wantAlloc))
+			}
+			for i := 1; i < len(alloc); i++ {
+				if alloc[i].Target > alloc[i-1].Target {
+					t.Fatalf("allocation row %d target %v above row %d's %v: not sorted", i, alloc[i].Target, i-1, alloc[i-1].Target)
+				}
+			}
 
-	var hz map[string]any
-	hres, err := http.Get(cl.c.BaseURL() + "/healthz")
+			for _, call := range []struct {
+				what, code string
+				do         func() error
+			}{
+				{"estimate", "no_synopsis", func() error {
+					_, err := c.Query(ctx, client.QueryRequest{Estimate: &client.EstimateRequest{
+						Table: "nope", GroupBy: []string{"l_returnflag"}, Agg: "sum", Column: "l_quantity",
+					}})
+					return err
+				}},
+				{"refresh", "unknown_table", func() error {
+					_, err := c.Insert(ctx, client.InsertRequest{Table: "nope", Refresh: true})
+					return err
+				}},
+			} {
+				var ae *client.APIError
+				if err := call.do(); !errors.As(err, &ae) || ae.Status != http.StatusNotFound || ae.Code != call.code {
+					t.Errorf("%s on an unknown table: %v, want 404 %s", call.what, err, call.code)
+				}
+			}
+
+			// The partials leg merges to the state a single warehouse
+			// computes over the same strata.
+			parts, err := c.Partials(ctx, client.PartialsRequest{
+				Table: "lineitem", GroupBy: []string{"l_returnflag"}, Column: "l_quantity",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(parts.Partials) == 0 {
+				t.Fatal("partials empty")
+			}
+			if len(parts.Partials) != len(wantParts) {
+				t.Errorf("partials: %d groups, want %d", len(parts.Partials), len(wantParts))
+			}
+
+			var hz map[string]any
+			hres, err := http.Get(c.BaseURL() + "/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hres.Body.Close()
+			if err := json.NewDecoder(hres.Body).Decode(&hz); err != nil {
+				t.Fatal(err)
+			}
+			if hz["role"] != m.role {
+				t.Errorf("healthz role %v, want %s", hz["role"], m.role)
+			}
+		})
+	}
+}
+
+// TestDistShardAllocationNoSynopsisTyped: AllocationTable for a table
+// without a synopsis wraps ErrNoSynopsis on every backend, so callers
+// can classify it like every other missing-synopsis error.
+func TestDistShardAllocationNoSynopsisTyped(t *testing.T) {
+	cl := newDistCluster(t, 2, 1000)
+	for name, b := range map[string]interface {
+		AllocationTable(string) ([]congress.AllocationRow, error)
+	}{"warehouse": cl.single, "sharded": cl.sw, "coordinator": cl.co} {
+		if _, err := b.AllocationTable("nope"); !errors.Is(err, congress.ErrNoSynopsis) {
+			t.Errorf("%s: AllocationTable error %v, want ErrNoSynopsis", name, err)
+		}
+	}
+}
+
+// TestDistShardMetricsRenderCoordinatorCounters: the coordinator's own
+// engine counters reach /metrics. A mixed-coverage estimate — one shard
+// answering from its exact cube, the other from its sample — advances
+// congress_hybrid_residual_total.
+func TestDistShardMetricsRenderCoordinatorCounters(t *testing.T) {
+	cl := newDistCluster(t, 2, 1500)
+	ctx := context.Background()
+	// A refresh leaves shard 0's cube stale until its next insert, so
+	// that shard answers from its sample while shard 1 stays exact.
+	if err := cl.sw.Shard(0).RefreshSynopsis("lineitem"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.c.Query(ctx, client.QueryRequest{Estimate: &client.EstimateRequest{
+		Table: "lineitem", GroupBy: []string{"l_returnflag"}, Agg: "sum", Column: "l_quantity",
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := cl.c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hres.Body.Close()
-	if err := json.NewDecoder(hres.Body).Decode(&hz); err != nil {
-		t.Fatal(err)
-	}
-	if hz["role"] != "coordinator" {
-		t.Errorf("healthz role %v, want coordinator", hz["role"])
+	if !strings.Contains(metrics, "congress_hybrid_residual_total 1\n") {
+		t.Error("/metrics lacks congress_hybrid_residual_total 1")
 	}
 }
 

@@ -129,9 +129,8 @@ func (o *Options) withDefaults() {
 // Server serves one warehouse over HTTP. Create with New, start with
 // Start (or mount Handler on your own listener), stop with Shutdown.
 type Server struct {
-	w    *congress.Warehouse        // nil in sharded/coordinator modes
-	sw   *congress.ShardedWarehouse // nil except in in-process sharded mode
-	co   *congress.Coordinator      // nil except in distributed mode
+	b    backend             // the estimation surface, in every mode
+	w    *congress.Warehouse // nil in sharded/coordinator modes
 	opts Options
 	log  *slog.Logger
 	adm  *admission
@@ -167,10 +166,18 @@ func New(opts Options) *Server {
 		panic("server: a server cannot be both replication leader and follower")
 	}
 	opts.withDefaults()
+	var b backend
+	switch {
+	case opts.Warehouse != nil:
+		b = single{opts.Warehouse}
+	case opts.Sharded != nil:
+		b = sharded{opts.Sharded}
+	default:
+		b = distributed{opts.Coordinator}
+	}
 	s := &Server{
+		b:    b,
 		w:    opts.Warehouse,
-		sw:   opts.Sharded,
-		co:   opts.Coordinator,
 		opts: opts,
 		log:  opts.Logger,
 		adm:  newAdmission(opts.MaxConcurrent, opts.QueueDepth),
@@ -222,7 +229,7 @@ func (s *Server) Start(addr string) (string, error) {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.log.Info("congressd shutting down, draining in-flight requests")
 	err := s.http.Shutdown(ctx)
-	m := s.warehouseMetrics()
+	m := s.b.Metrics()
 	lat := s.met.all.Snapshot()
 	s.log.Info("final metrics",
 		slog.Int64("answers_served", m.Answer.Count),
@@ -372,13 +379,45 @@ func (s *Server) admitWithDeadline(w http.ResponseWriter, r *http.Request, timeo
 	}, true
 }
 
-// ----- backend dispatch -----
+// ----- backend -----
 //
 // The server fronts a single warehouse, an in-process sharded one, or a
 // distributed coordinator. The direct-estimation, partials, insert,
-// synopsis and metrics paths work against all three through these
-// helpers; the SQL paths are single-warehouse only (neither sharded
-// backend holds merged base relations to execute against).
+// synopsis and metrics paths work against all three through one backend
+// value; the SQL, exact, snapshot and persistence paths are
+// single-warehouse only (neither sharded backend holds merged base
+// relations to execute against) and use s.w.
+
+// backend is the serving surface every mode shares. The adapters below
+// add what differs per mode: the concrete table handle type and the
+// per-shard metrics block.
+type backend interface {
+	table(name string) (tableHandle, error)
+	renderShards(sb *strings.Builder)
+	EstimateQueryOpts(ctx context.Context, table string, grouping []string, agg estimate.Aggregate, aggCol string, confidence float64, opts congress.ApproxOptions) ([]estimate.GroupEstimate, congress.CacheStatus, error)
+	EstimatePartialsOpts(ctx context.Context, table string, grouping []string, aggCol string, opts congress.PartialsOptions) ([]estimate.GroupPartial, error)
+	RefreshSynopsis(table string) error
+	Synopses() []congress.SynopsisInfo
+	AllocationTable(table string) ([]congress.AllocationRow, error)
+	Metrics() congress.MetricsSnapshot
+}
+
+type single struct{ *congress.Warehouse }
+
+func (b single) table(name string) (tableHandle, error) { return b.Table(name) }
+func (single) renderShards(*strings.Builder)            {}
+
+type sharded struct{ *congress.ShardedWarehouse }
+
+func (b sharded) table(name string) (tableHandle, error) { return b.Table(name) }
+func (b sharded) renderShards(sb *strings.Builder)       { b.ShardTelemetry().Render(sb) }
+
+type distributed struct{ *congress.Coordinator }
+
+func (b distributed) table(name string) (tableHandle, error) { return b.Table(name) }
+func (b distributed) renderShards(sb *strings.Builder) {
+	b.ShardTelemetry().RenderAs(sb, "congress_distshard")
+}
 
 // tableHandle is the insert surface every backend's table handle shares.
 type tableHandle interface {
@@ -386,91 +425,11 @@ type tableHandle interface {
 	Insert(vals ...congress.Value) error
 }
 
-// batchTableHandle is the optional bulk-insert surface: the coordinator
-// implements it to route a whole request's rows with one HTTP insert
+// batchTableHandle is the optional bulk-insert surface: the sharded
+// backends implement it to route a whole request's rows with one insert
 // per shard instead of one per row.
 type batchTableHandle interface {
 	InsertBatch(ctx context.Context, rows []congress.Row) (int, error)
-}
-
-func (s *Server) lookupTable(name string) (tableHandle, error) {
-	switch {
-	case s.co != nil:
-		return s.co.Table(name)
-	case s.sw != nil:
-		return s.sw.Table(name)
-	default:
-		return s.w.Table(name)
-	}
-}
-
-func (s *Server) estimateQuery(ctx context.Context, e *client.EstimateRequest, agg estimate.Aggregate, opts congress.ApproxOptions) ([]estimate.GroupEstimate, congress.CacheStatus, error) {
-	switch {
-	case s.co != nil:
-		return s.co.EstimateQueryOpts(ctx, e.Table, e.GroupBy, agg, e.Column, e.Confidence, opts)
-	case s.sw != nil:
-		return s.sw.EstimateQueryOpts(ctx, e.Table, e.GroupBy, agg, e.Column, e.Confidence, opts)
-	default:
-		return s.w.EstimateQueryOpts(ctx, e.Table, e.GroupBy, agg, e.Column, e.Confidence, opts)
-	}
-}
-
-func (s *Server) estimatePartials(ctx context.Context, table string, groupBy []string, aggCol string, opts congress.PartialsOptions) ([]estimate.GroupPartial, error) {
-	switch {
-	case s.co != nil:
-		return s.co.EstimatePartialsOpts(ctx, table, groupBy, aggCol, opts)
-	case s.sw != nil:
-		return s.sw.EstimatePartialsOpts(ctx, table, groupBy, aggCol, opts)
-	default:
-		return s.w.EstimatePartialsOpts(ctx, table, groupBy, aggCol, opts)
-	}
-}
-
-func (s *Server) refreshSynopsis(table string) error {
-	switch {
-	case s.co != nil:
-		return s.co.RefreshSynopsis(table)
-	case s.sw != nil:
-		return s.sw.RefreshSynopsis(table)
-	default:
-		return s.w.RefreshSynopsis(table)
-	}
-}
-
-func (s *Server) synopses() []congress.SynopsisInfo {
-	switch {
-	case s.co != nil:
-		return s.co.Synopses()
-	case s.sw != nil:
-		return s.sw.Synopses()
-	default:
-		return s.w.Synopses()
-	}
-}
-
-func (s *Server) allocationTable(table string) ([]congress.AllocationRow, error) {
-	switch {
-	case s.co != nil:
-		return s.co.AllocationTable(table)
-	case s.sw != nil:
-		return s.sw.AllocationTable(table)
-	default:
-		return s.w.AllocationTable(table)
-	}
-}
-
-func (s *Server) warehouseMetrics() congress.MetricsSnapshot {
-	switch {
-	case s.co != nil:
-		// The coordinator holds no warehouse of its own; engine telemetry
-		// lives on the shard processes. Its own snapshot carries only the
-		// coordinator-level counters (hybrid residual composition).
-		return s.co.Metrics()
-	case s.sw != nil:
-		return s.sw.Metrics()
-	default:
-		return s.w.Metrics()
-	}
 }
 
 // ----- handlers -----
@@ -504,7 +463,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var ests []estimate.GroupEstimate
-		ests, status, err = s.estimateQuery(ctx, e, agg,
+		ests, status, err = s.b.EstimateQueryOpts(ctx, e.Table, e.GroupBy, agg, e.Column, e.Confidence,
 			congress.ApproxOptions{NoCache: req.NoCache, NoHybrid: req.NoHybrid})
 		if err != nil {
 			s.writeMappedError(w, err, http.StatusBadRequest, "bad_query")
@@ -616,7 +575,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	tbl, err := s.lookupTable(req.Table)
+	tbl, err := s.b.table(req.Table)
 	if err != nil {
 		s.writeMappedError(w, err, http.StatusBadRequest, "bad_request")
 		return
@@ -677,7 +636,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := client.InsertResponse{Inserted: inserted}
 	if req.Refresh {
-		if err := s.refreshSynopsis(req.Table); err != nil {
+		if err := s.b.RefreshSynopsis(req.Table); err != nil {
 			s.writeMappedError(w, err, http.StatusInternalServerError, "internal")
 			return
 		}
@@ -710,7 +669,7 @@ func (s *Server) handlePartials(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	parts, err := s.estimatePartials(ctx, req.Table, req.GroupBy, req.Column,
+	parts, err := s.b.EstimatePartialsOpts(ctx, req.Table, req.GroupBy, req.Column,
 		congress.PartialsOptions{NoHybrid: req.NoHybrid})
 	if err != nil {
 		s.writeMappedError(w, err, http.StatusBadRequest, "bad_query")
@@ -732,14 +691,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	if s.co != nil {
+	if s.w == nil {
 		writeError(w, http.StatusConflict, "not_persistent",
-			"the coordinator holds no data of its own; snapshot each shard congressd (they own the data directories)")
-		return
-	}
-	if s.sw != nil {
-		writeError(w, http.StatusConflict, "not_persistent",
-			"in-process sharded warehouses hold no data directory; snapshots need a single warehouse with -data-dir")
+			"sharded and coordinator modes hold no data directory of their own; snapshots need a single warehouse with -data-dir")
 		return
 	}
 	if _, enabled := s.w.PersistStats(); !enabled {
@@ -761,7 +715,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSynopses(w http.ResponseWriter, r *http.Request) {
 	withAlloc := r.URL.Query().Get("allocation") != ""
-	infos := s.synopses()
+	infos := s.b.Synopses()
 	resp := client.SynopsesResponse{Synopses: make([]client.SynopsisInfo, 0, len(infos))}
 	for _, si := range infos {
 		ci := client.SynopsisInfo{
@@ -776,7 +730,7 @@ func (s *Server) handleSynopses(w http.ResponseWriter, r *http.Request) {
 		}
 		// Ship the table schema so a distributed coordinator can discover
 		// it and verify every shard agrees before serving.
-		if tbl, err := s.lookupTable(si.Table); err == nil {
+		if tbl, err := s.b.table(si.Table); err == nil {
 			cols := tbl.Columns()
 			ci.Columns = make([]client.ColumnSpec, len(cols))
 			for i, c := range cols {
@@ -784,7 +738,7 @@ func (s *Server) handleSynopses(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if withAlloc {
-			rows, err := s.allocationTable(si.Table)
+			rows, err := s.b.AllocationTable(si.Table)
 			if err == nil {
 				ci.Allocation = make([]client.AllocationRow, len(rows))
 				for i, ar := range rows {
@@ -805,15 +759,8 @@ func (s *Server) handleSynopses(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var sb strings.Builder
-	if s.co == nil {
-		sb.WriteString(s.warehouseMetrics().String())
-	}
-	if s.sw != nil {
-		s.sw.ShardTelemetry().Render(&sb)
-	}
-	if s.co != nil {
-		s.co.ShardTelemetry().RenderAs(&sb, "congress_distshard")
-	}
+	sb.WriteString(s.b.Metrics().String())
+	s.b.renderShards(&sb)
 	if s.w != nil {
 		if ps, ok := s.w.PersistStats(); ok {
 			fmt.Fprintf(&sb, "persist_generation %d\n", ps.Generation)
@@ -850,7 +797,7 @@ func (s *Server) replRole() string {
 		return "follower"
 	case s.opts.ReplLeader != nil:
 		return "leader"
-	case s.co != nil:
+	case s.opts.Coordinator != nil:
 		return "coordinator"
 	default:
 		return "standalone"
