@@ -585,3 +585,71 @@ func BenchmarkSynopsisConstruction(b *testing.B) {
 		})
 	}
 }
+
+// warehouseBenchRows generates the write-path harness table: 200k
+// lineitem rows over 1000 finest groups with Zipf group skew z=0.86.
+func warehouseBenchRows(b *testing.B) *engine.Relation {
+	b.Helper()
+	return tpcd.MustGenerate(tpcd.Params{TableSize: 200_000, NumGroups: 1000, GroupSkew: 0.86, Seed: 4})
+}
+
+// warehouseBenchSpec is a 7% Congress synopsis over the harness table,
+// built with DefaultBuildWorkers.
+func warehouseBenchSpec(rows int) SynopsisSpec {
+	return SynopsisSpec{
+		Table:        "lineitem",
+		GroupBy:      tpcd.GroupingAttrs,
+		Space:        rows * 7 / 100,
+		Strategy:     Congress,
+		BuildWorkers: DefaultBuildWorkers(),
+		Seed:         4,
+	}
+}
+
+// BenchmarkWarehouseBuildSynopsis measures Warehouse.BuildSynopsis end
+// to end at the write-path harness shape: the construction cube,
+// allocation, materialization, and the maintainer and exact-cube
+// seeding pass over every row.
+func BenchmarkWarehouseBuildSynopsis(b *testing.B) {
+	rel := warehouseBenchRows(b)
+	spec := warehouseBenchSpec(rel.NumRows())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := Open()
+		if _, err := w.AttachRelation(rel); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.BuildSynopsis(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTableInsert measures one Table.Insert on a table with a
+// built synopsis: the base-relation append, the maintainer feed and the
+// exact-cube update. Inserted rows reuse the table's own rows, so they
+// land in existing groups like steady-state ingest does.
+func BenchmarkTableInsert(b *testing.B) {
+	rel := warehouseBenchRows(b)
+	rows := rel.Rows()
+	w := Open()
+	base := engine.NewRelation("lineitem", rel.Schema)
+	if err := base.InsertAll(rows); err != nil {
+		b.Fatal(err)
+	}
+	t, err := w.AttachRelation(base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.BuildSynopsis(warehouseBenchSpec(len(rows))); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := t.Insert(rows[i%len(rows)]...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,8 +2,11 @@ package congress
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/approxdb/congress/internal/tpcd"
 )
 
 // buildSalesWarehouse creates a warehouse with a skewed sales table:
@@ -462,5 +465,35 @@ func TestTableErrors(t *testing.T) {
 	}
 	if _, err := w.Approx("select 1"); err == nil {
 		t.Error("approx without FROM accepted")
+	}
+}
+
+// TestBuildSynopsisReproducible builds the same synopsis twice in one
+// process with the same Seed and a budget below the row count: the two
+// allocation tables (targets, pre-scale weights and materialized
+// stratum sizes) must be identical, serially and with parallel workers.
+func TestBuildSynopsisReproducible(t *testing.T) {
+	rel := tpcd.MustGenerate(tpcd.Params{TableSize: 20_000, NumGroups: 27, GroupSkew: 1.2, Seed: 7})
+	for _, workers := range []int{1, 2} {
+		var tables [2][]AllocationRow
+		for i := range tables {
+			w := Open()
+			if _, err := w.AttachRelation(rel); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.BuildSynopsis(SynopsisSpec{
+				Table: "lineitem", GroupBy: tpcd.GroupingAttrs, Space: 1500, Seed: 7, BuildWorkers: workers,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			rows, err := w.AllocationTable("lineitem")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables[i] = rows
+		}
+		if !reflect.DeepEqual(tables[0], tables[1]) {
+			t.Errorf("workers=%d: allocation tables differ between identical builds:\n%v\n%v", workers, tables[0], tables[1])
+		}
 	}
 }

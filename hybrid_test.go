@@ -388,3 +388,56 @@ func TestHybridPersistenceRoundTrip(t *testing.T) {
 		}
 	})
 }
+
+// TestHybridRenderedKeyCollision: a NULL region and the string "NULL"
+// are distinct finest groups but render alike. The exact cube must merge
+// them into one "NULL" group, as the sample path's rendered keys do,
+// before and after inserts that reach both through the live feed.
+func TestHybridRenderedKeyCollision(t *testing.T) {
+	w := Open()
+	tbl, err := w.CreateTable("sales", Col("region", String), Col("product", String), Col("amount", Float))
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(region Value, amount float64) {
+		t.Helper()
+		if err := tbl.Insert(region, Str("pen"), F(amount)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		insert(Str("east"), 1)
+		insert(Value{}, 10)
+		insert(Str("NULL"), 100)
+	}
+	if err := w.BuildSynopsis(SynopsisSpec{Table: "sales", GroupBy: []string{"region", "product"}, Space: 30, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(wantNull float64) {
+		t.Helper()
+		ctx := context.Background()
+		exact, _, err := w.EstimateQueryOpts(ctx, "sales", []string{"region"}, Sum, "amount", 0.95, ApproxOptions{NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampled, _, err := w.EstimateQueryOpts(ctx, "sales", []string{"region"}, Sum, "amount", 0.95, ApproxOptions{NoCache: true, NoHybrid: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(exact) != 2 || len(sampled) != len(exact) {
+			t.Fatalf("hybrid groups %v, sampled groups %v; want {east, NULL} in both", exact, sampled)
+		}
+		for i, e := range exact {
+			if e.Key != sampled[i].Key || e.Bound != 0 {
+				t.Errorf("group %d: hybrid %q bound %v vs sampled %q", i, e.Key, e.Bound, sampled[i].Key)
+			}
+			if e.Key == "NULL" && e.Value != wantNull {
+				t.Errorf("merged NULL group sum %v, want %v", e.Value, wantNull)
+			}
+		}
+	}
+	check(40*10 + 40*100)
+	insert(Value{}, 10)
+	insert(Str("NULL"), 100)
+	check(41*10 + 41*100)
+}

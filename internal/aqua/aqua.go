@@ -147,7 +147,7 @@ type Synopsis struct {
 	maintainer core.Maintainer
 
 	// exact is the hybrid estimator's exact-aggregate cube (see
-	// hybrid.go): SUM/COUNT prefixes over G for every numeric base
+	// hybrid.go): SUM/COUNT measures over G for every numeric base
 	// column, fed under mu by the same insert stream as the maintainer.
 	// The pointer is fixed at creation/restore (nil when unavailable);
 	// contents are guarded by mu. exactEpoch is the synopsis epoch the
@@ -156,9 +156,14 @@ type Synopsis struct {
 	// creation.
 	exact            *datacube.Cube
 	exactEpoch       atomic.Uint64
-	exactMeasureIdx  []int          // schema ordinals of tracked measures
-	exactMeasureName map[int]string // schema ordinal -> measure name
-	exactGroupPos    map[int]int    // schema ordinal -> position in G
+	exactMeasureIdx  []int                   // schema ordinals of tracked measures
+	exactMeasureName map[int]string          // schema ordinal -> measure name
+	exactGroupPos    map[int]int             // schema ordinal -> position in G
+	exactVals        []datacube.MeasureValue // feed scratch, under mu
+
+	// key is the insert path's finest-key scratch, under mu: one key per
+	// row feeds both the maintainer and the exact cube.
+	key []byte
 
 	// Relations registered in the catalog, one layout per rewrite
 	// family. Names are fixed at creation.
@@ -289,8 +294,9 @@ func (a *Aqua) CreateSynopsis(cfg Config) (*Synopsis, error) {
 	}
 	rows := rel.Rows()
 	for _, row := range rows {
-		s.maintainer.Insert(row)
-		s.feedExactLocked(row)
+		s.key = g.AppendKey(s.key[:0], row)
+		s.maintainer.InsertKeyed(row, s.key)
+		s.feedExactLocked(row, s.key)
 	}
 
 	// Two construction scans (cube + materialize) plus the maintainer
@@ -563,8 +569,9 @@ func (s *Synopsis) Maintainer() core.Maintainer { return s.maintainer }
 // Refresh and with readers.
 func (s *Synopsis) Insert(row engine.Row) {
 	s.mu.Lock()
-	s.maintainer.Insert(row)
-	s.feedExactLocked(row)
+	s.key = s.grouping.AppendKey(s.key[:0], row)
+	s.maintainer.InsertKeyed(row, s.key)
+	s.feedExactLocked(row, s.key)
 	hasExact := s.exact != nil
 	s.pending++
 	s.mu.Unlock()

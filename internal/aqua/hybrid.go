@@ -3,7 +3,6 @@ package aqua
 import (
 	"math"
 	"sort"
-	"strings"
 
 	"github.com/approxdb/congress/internal/datacube"
 	"github.com/approxdb/congress/internal/engine"
@@ -12,8 +11,9 @@ import (
 
 // Hybrid exact-aggregate support (AQP++-style): alongside the sample, a
 // synopsis maintains an exact datacube over its grouping set G with SUM
-// and non-null-COUNT measure prefixes for every numeric base column,
-// fed by the same insert stream as the maintainer. A direct-estimation
+// and non-null-COUNT measures for every numeric base column, kept per
+// finest group and rolled up to the requested grouping on read, and fed
+// by the same insert stream as the maintainer. A direct-estimation
 // query whose grouping is covered by G and whose aggregate column is a
 // tracked measure can then be answered exactly — zero-width confidence
 // contribution — with the congressional sample reserved for whatever
@@ -65,26 +65,39 @@ func newExactCube(schema *engine.Schema, groupCols []string) (*datacube.Cube, []
 	return cube, ords, byOrdinal, groupPos, nil
 }
 
-// feedExactLocked records one inserted row in the exact cube. Callers
+// feedExactLocked records one inserted row, whose finest group key
+// (Grouping.AppendKey) the caller computed, in the exact cube. Callers
 // must hold s.mu. A nil cube (legacy restore, build failure) is a no-op.
-func (s *Synopsis) feedExactLocked(row engine.Row) {
+// The cube keys slots by the engine key but renders each new group's
+// parts once with Value.String, so coarse groups merge values that
+// render alike, exactly as the sample path's rendered keys do.
+func (s *Synopsis) feedExactLocked(row engine.Row, key []byte) {
 	if s.exact == nil {
 		return
 	}
-	groupIdx := s.grouping.Columns()
-	id := make(datacube.GroupID, len(groupIdx))
-	for i, ci := range groupIdx {
-		id[i] = row[ci].String()
+	slot, ok := s.exact.Lookup(key)
+	if !ok {
+		groupIdx := s.grouping.Columns()
+		id := make(datacube.GroupID, len(groupIdx))
+		for i, ci := range groupIdx {
+			id[i] = row[ci].String()
+		}
+		var err error
+		if slot, err = s.exact.Intern(key, id); err != nil {
+			s.exact = nil
+			return
+		}
 	}
-	vals := make([]datacube.MeasureValue, len(s.exactMeasureIdx))
-	for i, ci := range s.exactMeasureIdx {
+	vals := s.exactVals[:0]
+	for _, ci := range s.exactMeasureIdx {
 		v, ok := row[ci].AsFloat()
-		vals[i] = datacube.MeasureValue{V: v, OK: ok}
+		vals = append(vals, datacube.MeasureValue{V: v, OK: ok})
 	}
+	s.exactVals = vals
 	// The cube must never silently diverge from the base relation: any
 	// feed error (impossible for a well-formed row, but defensive) drops
 	// the cube entirely rather than leaving it subtly wrong.
-	if err := s.exact.AddMeasured(id, vals); err != nil {
+	if err := s.exact.AddMeasuredSlot(slot, vals); err != nil {
 		s.exact = nil
 	}
 }
@@ -132,8 +145,8 @@ func (s *Synopsis) ExactPartials(groupCols []int, aggCol int) ([]estimate.GroupP
 		return nil, false
 	}
 	// Map each requested column to its position in G; the projection mask
-	// selects those positions, and perm rebuilds keys in request order
-	// from the cube's G-ordered key parts.
+	// selects those positions, and keys are rebuilt in request order from
+	// each group's parts at those positions.
 	mask := uint32(0)
 	positions := make([]int, len(groupCols))
 	for i, ci := range groupCols {
@@ -144,38 +157,24 @@ func (s *Synopsis) ExactPartials(groupCols []int, aggCol int) ([]estimate.GroupP
 		positions[i] = pos
 		mask |= 1 << uint(pos)
 	}
-	// Rank the *distinct* selected positions in ascending G order — the
-	// order GroupID.Project emits key parts in. Duplicate requested
-	// columns map to the same part.
-	selected := append([]int(nil), positions...)
-	sort.Ints(selected)
-	rank := make(map[int]int, len(selected))
-	for _, pos := range selected {
-		if _, seen := rank[pos]; !seen {
-			rank[pos] = len(rank)
-		}
-	}
-
 	var out []estimate.GroupPartial
-	found := s.exact.MeasureGroupsUnder(mask, measure, func(key string, count int64, sum float64, nonNull int64) {
+	var key []byte
+	found := s.exact.MeasureIDsUnder(mask, measure, func(id datacube.GroupID, _ string, count int64, sum float64, nonNull int64) {
 		if nonNull == 0 {
 			// Every row's aggregate value is NULL: the sample path never
 			// observes a passing row for this group and drops it; match.
 			return
 		}
-		outKey := key
-		if len(groupCols) == 0 {
-			outKey = ""
-		} else {
-			parts := strings.Split(key, datacube.KeySep)
-			ordered := make([]string, len(groupCols))
-			for i, pos := range positions {
-				ordered[i] = parts[rank[pos]]
+		// Rebuild the key in request order from the group's own parts.
+		key = key[:0]
+		for i, pos := range positions {
+			if i > 0 {
+				key = append(key, datacube.KeySep...)
 			}
-			outKey = strings.Join(ordered, datacube.KeySep)
+			key = append(key, id[pos]...)
 		}
 		out = append(out, estimate.GroupPartial{
-			Key:        outKey,
+			Key:        string(key),
 			ExactSum:   sum,
 			ExactCount: float64(nonNull),
 			Lo:         math.Inf(1),

@@ -155,8 +155,8 @@ func GroupingVector(cube *datacube.Cube, X float64, mask uint32) WeightVector {
 		Targets: make(map[string]float64),
 	}
 	mT := float64(cube.NumGroups(mask))
-	cube.FinestIDs(func(id datacube.GroupID, key string, n int64) {
-		nh := float64(cube.CountFor(mask, id))
+	cube.FinestSlots(func(slot int, key string, n int64) {
+		nh := float64(cube.SlotCount(mask, slot))
 		v.Targets[key] = X / mT * float64(n) / nh
 	})
 	return v
@@ -228,10 +228,9 @@ func PreferenceVector(cube *datacube.Cube, X float64, mask uint32, prefs map[str
 		Name:    fmt.Sprintf("preference-%b", mask),
 		Targets: make(map[string]float64),
 	}
-	cube.FinestIDs(func(id datacube.GroupID, key string, n int64) {
-		h := id.Project(mask)
-		r := prefs[h]
-		nh := float64(cube.CountFor(mask, id))
+	cube.FinestSlots(func(slot int, key string, n int64) {
+		r := prefs[cube.SlotGroupKey(mask, slot)]
+		nh := float64(cube.SlotCount(mask, slot))
 		v.Targets[key] = X * r * float64(n) / nh
 	})
 	return v
@@ -271,9 +270,11 @@ func CombineVectors(X float64, vecs ...WeightVector) *Allocation {
 			}
 		}
 	}
+	// Sum in key order: float addition is not associative, and map order
+	// would make ScaleDown (and so the integer targets) vary run to run.
 	var sum float64
-	for _, t := range pre {
-		sum += t
+	for _, key := range sortedKeys(pre) {
+		sum += pre[key]
 	}
 	a := &Allocation{
 		X:        X,
@@ -295,10 +296,20 @@ func CombineVectors(X float64, vecs ...WeightVector) *Allocation {
 // equals X up to rounding error.
 func (a *Allocation) Total() float64 {
 	var s float64
-	for _, t := range a.Targets {
-		s += t
+	for _, key := range sortedKeys(a.Targets) {
+		s += a.Targets[key]
 	}
 	return s
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // IntegerTargets converts fractional targets into integer sample sizes
@@ -308,11 +319,7 @@ func (a *Allocation) Total() float64 {
 // than it has), with the overflow redistributed to uncapped groups in
 // proportion to their targets.
 func (a *Allocation) IntegerTargets(populations map[string]int64) map[string]int {
-	keys := make([]string, 0, len(a.Targets))
-	for k := range a.Targets {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(a.Targets)
 
 	budget := int(math.Round(a.X))
 	out := make(map[string]int, len(keys))

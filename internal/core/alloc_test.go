@@ -337,6 +337,48 @@ func TestCombineVectorsEmpty(t *testing.T) {
 	}
 }
 
+// TestCombineVectorsDeterministic recombines the same 1000-key vectors
+// 50 times: the scale-down factor, the total and the integer targets
+// must be bit-identical every time, whatever order the maps iterate in.
+func TestCombineVectorsDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const groups = 1000
+	vecs := make([]WeightVector, 3)
+	pops := make(map[string]int64, groups)
+	for i := range vecs {
+		vecs[i] = WeightVector{Name: strconv.Itoa(i), Targets: make(map[string]float64, groups)}
+	}
+	for g := 0; g < groups; g++ {
+		k := key("g"+strconv.Itoa(g), "h"+strconv.Itoa(g%7))
+		pops[k] = 1 + rng.Int63n(500)
+		for _, v := range vecs {
+			v.Targets[k] = rng.Float64() * 3.7
+		}
+	}
+	const X = 1501
+	first := CombineVectors(X, vecs...)
+	firstTotal := first.Total()
+	firstInts := first.IntegerTargets(pops)
+	for run := 1; run < 50; run++ {
+		a := CombineVectors(X, vecs...)
+		if math.Float64bits(a.ScaleDown) != math.Float64bits(first.ScaleDown) {
+			t.Fatalf("run %d: ScaleDown %v != %v", run, a.ScaleDown, first.ScaleDown)
+		}
+		if math.Float64bits(a.Total()) != math.Float64bits(firstTotal) {
+			t.Fatalf("run %d: Total %v != %v", run, a.Total(), firstTotal)
+		}
+		ints := a.IntegerTargets(pops)
+		if len(ints) != len(firstInts) {
+			t.Fatalf("run %d: %d integer targets, want %d", run, len(ints), len(firstInts))
+		}
+		for k, n := range firstInts {
+			if ints[k] != n {
+				t.Fatalf("run %d: group %q gets %d tuples, first run %d", run, k, ints[k], n)
+			}
+		}
+	}
+}
+
 func TestIntegerTargetsSumAndCaps(t *testing.T) {
 	cube := figure5Cube(t)
 	pops := map[string]int64{}

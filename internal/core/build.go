@@ -57,13 +57,41 @@ func (g *Grouping) ID(row engine.Row) datacube.GroupID {
 	return id
 }
 
+// AppendKey appends the row's finest composite group key to dst: each
+// grouping value's engine.Value.AppendGroupKey encoding, joined by
+// datacube.KeySep. The bytes equal ID(row).Key(); shard routing hashes
+// them, so they must never change. With a reused buffer the key costs
+// no allocation.
+func (g *Grouping) AppendKey(dst []byte, row engine.Row) []byte {
+	for i, c := range g.cols {
+		if i > 0 {
+			dst = append(dst, datacube.KeySep...)
+		}
+		dst = row[c].AppendGroupKey(dst)
+	}
+	return dst
+}
+
 // Key extracts the finest composite group key of a row without
 // allocating the intermediate GroupID.
 func (g *Grouping) Key(row engine.Row) string {
-	if len(g.cols) == 1 {
-		return row[g.cols[0]].GroupKey()
+	var buf [64]byte
+	return string(g.AppendKey(buf[:0], row))
+}
+
+// slot returns the cube slot of the row's finest group, whose key the
+// caller computed with AppendKey, interning it on first sight. Only a
+// new group builds its GroupID.
+func (g *Grouping) slot(cube *datacube.Cube, row engine.Row, key []byte) int {
+	if s, ok := cube.Lookup(key); ok {
+		return s
 	}
-	return g.ID(row).Key()
+	s, err := cube.Intern(key, g.ID(row))
+	if err != nil {
+		// Arity is fixed by the grouping; this cannot happen.
+		panic(err)
+	}
+	return s
 }
 
 // BuildCube scans the relation once and returns the full data cube of
@@ -74,10 +102,10 @@ func BuildCube(rel *engine.Relation, g *Grouping) (*datacube.Cube, error) {
 	if err != nil {
 		return nil, err
 	}
+	var key []byte
 	for _, row := range rel.Rows() {
-		if err := cube.Add(g.ID(row)); err != nil {
-			return nil, err
-		}
+		key = g.AppendKey(key[:0], row)
+		cube.AddSlot(g.slot(cube, row, key), 1)
 	}
 	return cube, nil
 }
@@ -176,9 +204,10 @@ func Materialize(rel *engine.Relation, g *Grouping, cube *datacube.Cube, alloc *
 		reservoirs[key] = r
 	}
 
+	var key []byte
 	for _, row := range rel.Rows() {
-		key := g.Key(row)
-		if r, ok := reservoirs[key]; ok {
+		key = g.AppendKey(key[:0], row)
+		if r, ok := reservoirs[string(key)]; ok {
 			r.Offer(row)
 		}
 	}

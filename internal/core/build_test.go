@@ -9,6 +9,7 @@ import (
 	"github.com/approxdb/congress/internal/datacube"
 	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/sample"
+	"github.com/approxdb/congress/internal/tpcd"
 )
 
 // sampleStratum abbreviates the instantiated stratum type in tests.
@@ -215,5 +216,48 @@ func TestBuildErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	if _, _, err := Build(rel, g, Congress, 10, rng); err == nil {
 		t.Error("building over empty relation succeeded")
+	}
+}
+
+// TestGroupingKeyBytesStable pins Key's bytes to ID(row).Key() — the
+// encoding the shard router hashes, so existing partitions and data
+// directories depend on it — over TPC-D rows and rows mixing NULL,
+// bool, float, date and string grouping values.
+func TestGroupingKeyBytesStable(t *testing.T) {
+	rel := tpcd.MustGenerate(tpcd.Params{TableSize: 2000, NumGroups: 27, Seed: 3})
+	g := MustGrouping(rel.Schema, tpcd.GroupingAttrs)
+	for i, row := range rel.Rows() {
+		if got, want := g.Key(row), g.ID(row).Key(); got != want {
+			t.Fatalf("tpcd row %d: Key %q != ID().Key() %q", i, got, want)
+		}
+	}
+
+	values := []engine.Value{
+		engine.Null, engine.NewBool(true), engine.NewBool(false),
+		engine.NewFloat(2.5), engine.NewFloat(-0.0), engine.NewFloat(math.Inf(-1)),
+		engine.NewInt(-7), engine.NewDate(9000),
+		engine.NewString(""), engine.NewString("NULL"), engine.NewString("a b"),
+	}
+	schema := engine.MustSchema(
+		engine.Column{Name: "a", Kind: engine.KindString},
+		engine.Column{Name: "b", Kind: engine.KindString},
+		engine.Column{Name: "c", Kind: engine.KindString},
+	)
+	if got := MustGrouping(schema, []string{"a", "b"}).Key(engine.Row{engine.Null, engine.NewBool(true), engine.Null}); got != "\x00n\x1f\x00t" {
+		t.Fatalf("Key(NULL, true) = %q, want %q", got, "\x00n\x1f\x00t")
+	}
+	for _, attrs := range [][]string{{"a"}, {"a", "b"}, {"c", "a", "b"}} {
+		g := MustGrouping(schema, attrs)
+		for _, a := range values {
+			for _, b := range values {
+				row := engine.Row{a, b, values[len(values)-1]}
+				if got, want := g.Key(row), g.ID(row).Key(); got != want {
+					t.Fatalf("attrs %v row %v: Key %q != ID().Key() %q", attrs, row, got, want)
+				}
+				if got := string(g.AppendKey([]byte("prefix"), row)); got != "prefix"+g.Key(row) {
+					t.Fatalf("attrs %v row %v: AppendKey %q does not extend dst", attrs, row, got)
+				}
+			}
+		}
 	}
 }

@@ -15,6 +15,10 @@ import (
 type Maintainer interface {
 	// Insert offers one newly inserted tuple.
 	Insert(row engine.Row)
+	// InsertKeyed is Insert for a caller that already computed the row's
+	// finest group key with Grouping.AppendKey. The key is only read
+	// during the call.
+	InsertKeyed(row engine.Row, key []byte)
 	// Snapshot returns the current sample as strata keyed by finest
 	// group, with populations for scale-factor computation.
 	Snapshot() (*sample.Stratified[engine.Row], error)
@@ -45,7 +49,13 @@ func NewHouseMaintainer(g *Grouping, x int, rng *rand.Rand) (*HouseMaintainer, e
 
 // Insert implements Maintainer.
 func (m *HouseMaintainer) Insert(row engine.Row) {
-	m.pops[m.g.Key(row)]++
+	var buf [64]byte
+	m.InsertKeyed(row, m.g.AppendKey(buf[:0], row))
+}
+
+// InsertKeyed implements Maintainer.
+func (m *HouseMaintainer) InsertKeyed(row engine.Row, key []byte) {
+	m.pops[string(key)]++
 	m.seen++
 	m.res.Offer(row)
 }
@@ -121,7 +131,13 @@ func (m *SenateMaintainer) target() int {
 
 // Insert implements Maintainer.
 func (m *SenateMaintainer) Insert(row engine.Row) {
-	key := m.g.Key(row)
+	var buf [64]byte
+	m.InsertKeyed(row, m.g.AppendKey(buf[:0], row))
+}
+
+// InsertKeyed implements Maintainer.
+func (m *SenateMaintainer) InsertKeyed(row engine.Row, keyBytes []byte) {
+	key := string(keyBytes)
 	m.pops[key]++
 	m.seen++
 	res, ok := m.groups[key]

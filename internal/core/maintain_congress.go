@@ -37,9 +37,9 @@ type CongressMaintainer struct {
 }
 
 type congItem struct {
-	row engine.Row
-	id  datacube.GroupID
-	p   float64 // probability this tuple is (still) in the sample
+	row  engine.Row
+	slot int     // the tuple's finest group in cube
+	p    float64 // probability this tuple is (still) in the sample
 }
 
 // NewCongressMaintainer creates a maintainer with pre-scaling space
@@ -64,12 +64,12 @@ func NewCongressMaintainer(g *Grouping, y int, rng *rand.Rand) (*CongressMaintai
 }
 
 // prob computes the current Eq. 8 selection probability for a tuple in
-// the given finest group.
-func (m *CongressMaintainer) prob(id datacube.GroupID) float64 {
+// the finest group of the given cube slot.
+func (m *CongressMaintainer) prob(slot int) float64 {
 	best := 0.0
 	for mask := uint32(0); int(mask) < m.cube.NumGroupings(); mask++ {
 		mT := float64(m.cube.NumGroups(mask))
-		ng := float64(m.cube.CountFor(mask, id))
+		ng := float64(m.cube.SlotCount(mask, slot))
 		if mT == 0 || ng == 0 {
 			continue
 		}
@@ -85,15 +85,18 @@ func (m *CongressMaintainer) prob(id datacube.GroupID) float64 {
 
 // Insert implements Maintainer.
 func (m *CongressMaintainer) Insert(row engine.Row) {
-	id := m.g.ID(row)
-	if err := m.cube.Add(id); err != nil {
-		// Arity is fixed by the grouping; this cannot happen.
-		panic(err)
-	}
+	var buf [64]byte
+	m.InsertKeyed(row, m.g.AppendKey(buf[:0], row))
+}
+
+// InsertKeyed implements Maintainer.
+func (m *CongressMaintainer) InsertKeyed(row engine.Row, key []byte) {
+	slot := m.g.slot(m.cube, row, key)
+	m.cube.AddSlot(slot, 1)
 	m.seen++
-	p := m.prob(id)
+	p := m.prob(slot)
 	if sample.Bernoulli(p, m.rng) {
-		m.items = append(m.items, congItem{row: row, id: id, p: p})
+		m.items = append(m.items, congItem{row: row, slot: slot, p: p})
 	}
 	if m.rebalanceEvery > 0 && m.seen%m.rebalanceEvery == 0 {
 		m.Rebalance()
@@ -108,7 +111,7 @@ func (m *CongressMaintainer) Insert(row engine.Row) {
 func (m *CongressMaintainer) Rebalance() {
 	kept := m.items[:0]
 	for _, it := range m.items {
-		q := m.prob(it.id)
+		q := m.prob(it.slot)
 		if q < it.p {
 			if !sample.Bernoulli(q/it.p, m.rng) {
 				continue
@@ -155,7 +158,7 @@ func (m *CongressMaintainer) Snapshot() (*sample.Stratified[engine.Row], error) 
 		st.Put(&sample.Stratum[engine.Row]{Key: key, Population: pop})
 	})
 	for _, it := range m.items {
-		s, ok := st.Get(it.id.Key())
+		s, ok := st.Get(m.cube.SlotKey(it.slot))
 		if ok {
 			s.Items = append(s.Items, it.row)
 		}

@@ -29,9 +29,10 @@ type CongressDeltaMaintainer struct {
 
 	res   *sample.Reservoir[engine.Row]
 	cube  *datacube.Cube
-	x     map[string]int          // reservoir tuples per finest group
-	delta map[string][]engine.Row // spill-over uniform samples
+	x     []int          // reservoir tuples per finest group, by cube slot
+	delta [][]engine.Row // spill-over uniform samples, by cube slot
 	seen  int64
+	key   []byte // scratch for evicted rows' keys
 }
 
 // NewCongressDeltaMaintainer creates a maintainer with pre-scaling space
@@ -45,26 +46,18 @@ func NewCongressDeltaMaintainer(g *Grouping, y int, rng *rand.Rand) (*CongressDe
 	if err != nil {
 		return nil, err
 	}
-	return &CongressDeltaMaintainer{
-		g:     g,
-		y:     y,
-		rng:   rng,
-		res:   res,
-		cube:  cube,
-		x:     make(map[string]int),
-		delta: make(map[string][]engine.Row),
-	}, nil
+	return &CongressDeltaMaintainer{g: g, y: y, rng: rng, res: res, cube: cube}, nil
 }
 
 // target computes the Congress pre-scaling requirement for the finest
-// group identified by id.
-func (m *CongressDeltaMaintainer) target(id datacube.GroupID) float64 {
+// group of the given cube slot.
+func (m *CongressDeltaMaintainer) target(slot int) float64 {
 	Y := float64(m.y)
-	ng := float64(m.cube.CountFor(m.cube.FinestMask(), id))
+	ng := float64(m.cube.SlotCount(m.cube.FinestMask(), slot))
 	best := 0.0
 	for mask := uint32(0); int(mask) < m.cube.NumGroupings(); mask++ {
 		mT := float64(m.cube.NumGroups(mask))
-		nh := float64(m.cube.CountFor(mask, id))
+		nh := float64(m.cube.SlotCount(mask, slot))
 		if mT == 0 || nh == 0 {
 			continue
 		}
@@ -75,71 +68,87 @@ func (m *CongressDeltaMaintainer) target(id datacube.GroupID) float64 {
 	return best
 }
 
-// Insert implements Maintainer, mirroring the Basic Congress cases with
-// per-group Congress targets.
-func (m *CongressDeltaMaintainer) Insert(row engine.Row) {
-	id := m.g.ID(row)
-	if err := m.cube.Add(id); err != nil {
-		panic(err) // arity fixed by the grouping
+// slotFor returns the cube slot of the row with the given key, sizing
+// the per-slot samples to cover it.
+func (m *CongressDeltaMaintainer) slotFor(row engine.Row, key []byte) int {
+	slot := m.g.slot(m.cube, row, key)
+	for len(m.x) <= slot {
+		m.x = append(m.x, 0)
+		m.delta = append(m.delta, nil)
 	}
-	key := id.Key()
+	return slot
+}
+
+// slotOf is slotFor for a row whose key is not at hand.
+func (m *CongressDeltaMaintainer) slotOf(row engine.Row) int {
+	m.key = m.g.AppendKey(m.key[:0], row)
+	return m.slotFor(row, m.key)
+}
+
+// Insert implements Maintainer.
+func (m *CongressDeltaMaintainer) Insert(row engine.Row) {
+	var buf [64]byte
+	m.InsertKeyed(row, m.g.AppendKey(buf[:0], row))
+}
+
+// InsertKeyed implements Maintainer, mirroring the Basic Congress cases
+// with per-group Congress targets.
+func (m *CongressDeltaMaintainer) InsertKeyed(row engine.Row, key []byte) {
+	slot := m.slotFor(row, key)
+	m.cube.AddSlot(slot, 1)
 	m.seen++
-	target := m.target(id)
+	target := m.target(slot)
 
 	evicted, hadEviction, accepted := m.res.Offer(row)
 	switch {
 	case !accepted:
 		// Small-group direct add: while the group holds fewer tuples
 		// than its target, every one of them stays reachable.
-		if float64(m.cube.CountFor(m.cube.FinestMask(), id)) <= target {
-			m.delta[key] = append(m.delta[key], row)
+		if float64(m.cube.SlotCount(m.cube.FinestMask(), slot)) <= target {
+			m.delta[slot] = append(m.delta[slot], row)
 		}
 	case !hadEviction:
-		m.x[key]++
+		m.x[slot]++
 	default:
-		evKey := m.g.Key(evicted)
-		if evKey == key {
+		ev := m.slotOf(evicted)
+		if ev == slot {
 			break
 		}
-		m.x[key]++
-		if len(m.delta[key]) > 0 {
-			m.evictDelta(key)
+		m.x[slot]++
+		if len(m.delta[slot]) > 0 {
+			m.evictDelta(slot)
 		}
-		m.x[evKey]--
-		evID, ok := m.cube.ID(evKey)
-		if ok && float64(m.x[evKey]) < m.target(evID) {
-			m.delta[evKey] = append(m.delta[evKey], evicted)
+		m.x[ev]--
+		if float64(m.x[ev]) < m.target(ev) {
+			m.delta[ev] = append(m.delta[ev], evicted)
 		}
 	}
-	m.trimDelta(key, target)
+	m.trimDelta(slot, target)
 }
 
-func (m *CongressDeltaMaintainer) evictDelta(key string) {
-	d := m.delta[key]
+func (m *CongressDeltaMaintainer) evictDelta(slot int) {
+	d := m.delta[slot]
 	i := m.rng.Intn(len(d))
 	last := len(d) - 1
 	d[i] = d[last]
-	m.delta[key] = d[:last]
-	if len(m.delta[key]) == 0 {
-		delete(m.delta, key)
-	}
+	m.delta[slot] = d[:last]
 }
 
-func (m *CongressDeltaMaintainer) trimDelta(key string, target float64) {
-	limit := int(target+0.9999) - m.x[key]
+func (m *CongressDeltaMaintainer) trimDelta(slot int, target float64) {
+	limit := int(target+0.9999) - m.x[slot]
 	if limit < 0 {
 		limit = 0
 	}
-	for len(m.delta[key]) > limit {
-		m.evictDelta(key)
+	for len(m.delta[slot]) > limit {
+		m.evictDelta(slot)
 	}
 }
 
 // Compact trims every delta sample to its current target.
 func (m *CongressDeltaMaintainer) Compact() {
-	for key := range m.delta {
-		if id, ok := m.cube.ID(key); ok {
-			m.trimDelta(key, m.target(id))
+	for slot, d := range m.delta {
+		if len(d) > 0 {
+			m.trimDelta(slot, m.target(slot))
 		}
 	}
 }
@@ -167,12 +176,12 @@ func (m *CongressDeltaMaintainer) Snapshot() (*sample.Stratified[engine.Row], er
 		st.Put(&sample.Stratum[engine.Row]{Key: key, Population: pop})
 	})
 	for _, row := range m.res.Items() {
-		if s, ok := st.Get(m.g.Key(row)); ok {
+		if s, ok := st.Get(m.cube.SlotKey(m.slotOf(row))); ok {
 			s.Items = append(s.Items, row)
 		}
 	}
-	for key, d := range m.delta {
-		if s, ok := st.Get(key); ok {
+	for slot, d := range m.delta {
+		if s, ok := st.Get(m.cube.SlotKey(slot)); ok && len(d) > 0 {
 			s.Items = append(s.Items, d...)
 		}
 	}

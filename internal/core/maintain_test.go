@@ -14,14 +14,18 @@ func streamRow(a, b string, v int64) engine.Row {
 	return engine.Row{engine.NewString(a), engine.NewString(b), engine.NewInt(v)}
 }
 
-func streamGrouping(t testing.TB) *Grouping {
-	t.Helper()
-	schema := engine.MustSchema(
+// streamSchema is the schema of streamRow rows.
+func streamSchema() *engine.Schema {
+	return engine.MustSchema(
 		engine.Column{Name: "a", Kind: engine.KindString},
 		engine.Column{Name: "b", Kind: engine.KindString},
 		engine.Column{Name: "v", Kind: engine.KindInt},
 	)
-	return MustGrouping(schema, []string{"a", "b"})
+}
+
+func streamGrouping(t testing.TB) *Grouping {
+	t.Helper()
+	return MustGrouping(streamSchema(), []string{"a", "b"})
 }
 
 func TestHouseMaintainerBasics(t *testing.T) {

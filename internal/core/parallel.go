@@ -70,11 +70,10 @@ func BuildCubeParallel(rel *engine.Relation, g *Grouping, workers int) (*datacub
 				errs[w] = err
 				return
 			}
+			var key []byte
 			for _, row := range rows[start:end] {
-				if err := cube.Add(g.ID(row)); err != nil {
-					errs[w] = err
-					return
-				}
+				key = g.AppendKey(key[:0], row)
+				cube.AddSlot(g.slot(cube, row, key), 1)
 			}
 			partials[w] = cube
 		}(w, bounds[0], bounds[1])
@@ -147,13 +146,14 @@ func MaterializeParallel(rel *engine.Relation, g *Grouping, cube *datacube.Cube,
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(workerSeed(seed, w)))
 			reservoirs := make(map[string]*sample.Reservoir[engine.Row])
+			var key []byte
 			for _, row := range rows[start:end] {
-				key := g.Key(row)
-				size, ok := targets[key]
+				key = g.AppendKey(key[:0], row)
+				size, ok := targets[string(key)]
 				if !ok || size <= 0 {
 					continue
 				}
-				r := reservoirs[key]
+				r := reservoirs[string(key)]
 				if r == nil {
 					var err error
 					r, err = sample.NewReservoir[engine.Row](size, rng)
@@ -161,7 +161,7 @@ func MaterializeParallel(rel *engine.Relation, g *Grouping, cube *datacube.Cube,
 						errs[w] = err
 						return
 					}
-					reservoirs[key] = r
+					reservoirs[string(key)] = r
 				}
 				r.Offer(row)
 			}

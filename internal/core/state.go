@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"github.com/approxdb/congress/internal/datacube"
 	"github.com/approxdb/congress/internal/engine"
@@ -83,22 +84,6 @@ func copyPops(m map[string]int64) map[string]int64 {
 	return out
 }
 
-func copyX(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copyDelta(m map[string][]engine.Row) map[string][]engine.Row {
-	out := make(map[string][]engine.Row, len(m))
-	for k, v := range m {
-		out[k] = append([]engine.Row(nil), v...)
-	}
-	return out
-}
-
 // ExportState implements StatefulMaintainer.
 func (m *HouseMaintainer) ExportState() *MaintainerState {
 	return &MaintainerState{
@@ -127,17 +112,60 @@ func (m *SenateMaintainer) ExportState() *MaintainerState {
 	}
 }
 
+// slotMaps exports per-slot reservoir counts and delta samples as maps
+// keyed by each slot's finest group key.
+func slotMaps(keys func(slot int) string, x []int, delta [][]engine.Row) (map[string]int, map[string][]engine.Row) {
+	xs := make(map[string]int)
+	ds := make(map[string][]engine.Row)
+	for slot, n := range x {
+		if n != 0 {
+			xs[keys(slot)] = n
+		}
+		if len(delta[slot]) > 0 {
+			ds[keys(slot)] = append([]engine.Row(nil), delta[slot]...)
+		}
+	}
+	return xs, ds
+}
+
+// restoreSlotMaps is slotMaps inverted: slot(key) resolves a key to its
+// slot, and the returned slices cover n slots.
+func restoreSlotMaps(n int, slot func(key string) (int, error), xs map[string]int, ds map[string][]engine.Row) ([]int, [][]engine.Row, error) {
+	x := make([]int, n)
+	delta := make([][]engine.Row, n)
+	for key, v := range xs {
+		s, err := slot(key)
+		if err != nil {
+			return nil, nil, err
+		}
+		x[s] = v
+	}
+	for key, d := range ds {
+		s, err := slot(key)
+		if err != nil {
+			return nil, nil, err
+		}
+		delta[s] = append([]engine.Row(nil), d...)
+	}
+	return x, delta, nil
+}
+
 // ExportState implements StatefulMaintainer.
 func (m *BasicCongressMaintainer) ExportState() *MaintainerState {
+	pops := make(map[string]int64, len(m.pops))
+	for slot, n := range m.pops {
+		pops[m.slots.keys[slot]] = n
+	}
+	x, delta := slotMaps(func(slot int) string { return m.slots.keys[slot] }, m.x, m.delta)
 	return &MaintainerState{
 		Kind:      KindBasicCongress,
 		Attrs:     append([]string(nil), m.g.Attrs...),
 		Reservoir: m.res.State(),
-		Pops:      copyPops(m.pops),
+		Pops:      pops,
 		Seen:      m.seen,
 		Budget:    m.y,
-		X:         copyX(m.x),
-		Delta:     copyDelta(m.delta),
+		X:         x,
+		Delta:     delta,
 	}
 }
 
@@ -147,7 +175,7 @@ func (m *CongressMaintainer) ExportState() *MaintainerState {
 	for i, it := range m.items {
 		items[i] = CongItemState{
 			Row: it.row,
-			ID:  append(datacube.GroupID(nil), it.id...),
+			ID:  append(datacube.GroupID(nil), m.cube.SlotID(it.slot)...),
 			P:   it.p,
 		}
 	}
@@ -164,14 +192,15 @@ func (m *CongressMaintainer) ExportState() *MaintainerState {
 
 // ExportState implements StatefulMaintainer.
 func (m *CongressDeltaMaintainer) ExportState() *MaintainerState {
+	x, delta := slotMaps(m.cube.SlotKey, m.x, m.delta)
 	return &MaintainerState{
 		Kind:      KindCongressDelta,
 		Attrs:     append([]string(nil), m.g.Attrs...),
 		Reservoir: m.res.State(),
 		Seen:      m.seen,
 		Budget:    m.y,
-		X:         copyX(m.x),
-		Delta:     copyDelta(m.delta),
+		X:         x,
+		Delta:     delta,
 		Cube:      m.cube.State(),
 	}
 }
@@ -221,16 +250,27 @@ func RestoreMaintainer(st *MaintainerState, schema *engine.Schema, rng *rand.Ran
 		if err != nil {
 			return nil, fmt.Errorf("core: restoring basic congress maintainer: %w", err)
 		}
-		return &BasicCongressMaintainer{
-			g:     g,
-			y:     st.Budget,
-			rng:   rng,
-			res:   res,
-			x:     copyX(st.X),
-			delta: copyDelta(st.Delta),
-			pops:  copyPops(st.Pops),
-			seen:  st.Seen,
-		}, nil
+		m := &BasicCongressMaintainer{g: g, y: st.Budget, rng: rng, res: res, seen: st.Seen}
+		// Number groups in key order so a restore is deterministic.
+		keys := make([]string, 0, len(st.Pops))
+		for k := range st.Pops {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			m.pops[m.slotFor([]byte(k))] = st.Pops[k]
+		}
+		lookup := func(key string) (int, error) {
+			s, ok := m.slots.lookup([]byte(key))
+			if !ok {
+				return 0, fmt.Errorf("core: restoring basic congress maintainer: group %q has no population entry", key)
+			}
+			return s, nil
+		}
+		if m.x, m.delta, err = restoreSlotMaps(len(m.pops), lookup, st.X, st.Delta); err != nil {
+			return nil, err
+		}
+		return m, nil
 	case KindCongress:
 		cube, err := datacube.RestoreCube(st.Cube)
 		if err != nil {
@@ -252,7 +292,11 @@ func RestoreMaintainer(st *MaintainerState, schema *engine.Schema, rng *rand.Ran
 			if it.P <= 0 || it.P > 1 {
 				return nil, fmt.Errorf("core: restoring congress maintainer: item %d has probability %v outside (0,1]", i, it.P)
 			}
-			m.items[i] = congItem{row: it.Row, id: it.ID, p: it.P}
+			slot, ok := cube.Lookup([]byte(it.ID.Key()))
+			if !ok {
+				return nil, fmt.Errorf("core: restoring congress maintainer: item %d has group %q absent from the cube", i, it.ID)
+			}
+			m.items[i] = congItem{row: it.Row, slot: slot, p: it.P}
 		}
 		return m, nil
 	case KindCongressDelta:
@@ -264,14 +308,25 @@ func RestoreMaintainer(st *MaintainerState, schema *engine.Schema, rng *rand.Ran
 		if err != nil {
 			return nil, fmt.Errorf("core: restoring congress-delta maintainer: %w", err)
 		}
+		lookup := func(key string) (int, error) {
+			s, ok := cube.Lookup([]byte(key))
+			if !ok {
+				return 0, fmt.Errorf("core: restoring congress-delta maintainer: group %q absent from the cube", key)
+			}
+			return s, nil
+		}
+		x, delta, err := restoreSlotMaps(cube.NumSlots(), lookup, st.X, st.Delta)
+		if err != nil {
+			return nil, err
+		}
 		return &CongressDeltaMaintainer{
 			g:     g,
 			y:     st.Budget,
 			rng:   rng,
 			res:   res,
 			cube:  cube,
-			x:     copyX(st.X),
-			delta: copyDelta(st.Delta),
+			x:     x,
+			delta: delta,
 			seen:  st.Seen,
 		}, nil
 	default:

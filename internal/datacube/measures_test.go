@@ -2,7 +2,10 @@ package datacube
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -218,4 +221,153 @@ func max1(x float64) float64 {
 		return 1
 	}
 	return x
+}
+
+// renderedValue is one grouping value as the synopsis exact cube sees
+// it: the engine group key the slot is looked up by, and the rendered
+// part its coarse groups are keyed by.
+type renderedValue struct{ key, part string }
+
+// TestLiveRestoredBitIdentical feeds random measured inserts — NULL
+// measures, repeated groups, and distinct values that render alike
+// (NULL vs the string "NULL", an int vs an equal float) — and requires
+// RestoreCube(State()) to agree with the live cube under every mask with
+// ==, not a tolerance. Applying the same further inserts to both must
+// keep them identical.
+func TestLiveRestoredBitIdentical(t *testing.T) {
+	pools := [][]renderedValue{
+		{{"\x00n", "NULL"}, {"\x00sNULL", "NULL"}, {"\x00sx", "x"}, {"\x00sy", "y"}},
+		{{"\x00i1", "1"}, {"\x00g1", "1"}, {"\x00i2", "2"}},
+		{{"\x00d0", "1970-01-01"}, {"\x00d1", "1970-01-02"}, {"\x00n", "NULL"}},
+	}
+	meas := []string{"q", "p"}
+	rng := rand.New(rand.NewSource(13))
+	insert := func(c *Cube, n int, rng *rand.Rand) {
+		for i := 0; i < n; i++ {
+			var key []byte
+			id := make(GroupID, len(pools))
+			for a, pool := range pools {
+				v := pool[rng.Intn(len(pool))]
+				if a > 0 {
+					key = append(key, KeySep...)
+				}
+				key = append(key, v.key...)
+				id[a] = v.part
+			}
+			vals := []MeasureValue{
+				{V: rng.NormFloat64() * 1e6, OK: rng.Intn(6) > 0},
+				{V: rng.Float64() / 3, OK: rng.Intn(10) > 0},
+			}
+			s, err := c.Intern(key, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AddMeasuredSlot(s, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	live, err := NewWithMeasures([]string{"A", "B", "C"}, meas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert(live, 2000, rng)
+	if live.NumGroups(live.FinestMask()) >= live.NumSlots() {
+		t.Fatalf("no rendered-key collisions: %d finest groups over %d slots", live.NumGroups(live.FinestMask()), live.NumSlots())
+	}
+	restored, err := RestoreCube(live.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertCubesIdentical(t, "restored", live, restored, meas)
+	assertCubesIdentical(t, "clone", live, live.Clone(), meas)
+
+	seed := rng.Int63()
+	insert(live, 500, rand.New(rand.NewSource(seed)))
+	insert(restored, 500, rand.New(rand.NewSource(seed)))
+	assertCubesIdentical(t, "restored after further inserts", live, restored, meas)
+}
+
+// measureRow is one group's state under a mask and measure.
+type measureRow struct {
+	count, nonNull int64
+	sum            uint64 // float64 bits
+}
+
+func assertCubesIdentical(t *testing.T, name string, want, got *Cube, meas []string) {
+	t.Helper()
+	if got.Total() != want.Total() {
+		t.Fatalf("%s: total %d != %d", name, got.Total(), want.Total())
+	}
+	for mask := uint32(0); int(mask) < want.NumGroupings(); mask++ {
+		if got.NumGroups(mask) != want.NumGroups(mask) {
+			t.Errorf("%s mask %b: %d groups != %d", name, mask, got.NumGroups(mask), want.NumGroups(mask))
+		}
+		counts := func(c *Cube) map[string]int64 {
+			out := map[string]int64{}
+			c.GroupsUnder(mask, func(key string, n int64) { out[key] = n })
+			return out
+		}
+		if w, g := counts(want), counts(got); !reflect.DeepEqual(w, g) {
+			t.Errorf("%s mask %b: GroupsUnder %v != %v", name, mask, g, w)
+		}
+		for _, col := range meas {
+			rows := func(c *Cube) map[string]measureRow {
+				out := map[string]measureRow{}
+				c.MeasureGroupsUnder(mask, col, func(key string, count int64, sum float64, nonNull int64) {
+					out[key] = measureRow{count: count, nonNull: nonNull, sum: math.Float64bits(sum)}
+				})
+				return out
+			}
+			w, g := rows(want), rows(got)
+			if !reflect.DeepEqual(w, g) {
+				t.Errorf("%s mask %b %s: MeasureGroupsUnder %v != %v", name, mask, col, g, w)
+				continue
+			}
+			for key, r := range w {
+				sum, _ := got.MeasureSum(mask, key, col)
+				nn, _ := got.MeasureNonNull(mask, key, col)
+				if got.Count(mask, key) != r.count || math.Float64bits(sum) != r.sum || nn != r.nonNull {
+					t.Errorf("%s mask %b %q %s: point reads (%d, %v, %d) != roll-up (%d, %v, %d)",
+						name, mask, key, col, got.Count(mask, key), sum, nn, r.count, math.Float64frombits(r.sum), r.nonNull)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentRollups reads a cube from several goroutines at once
+// right after new slots appeared, so the readers race to extend the
+// roll-up order; every reader must see the same sums. Run with -race.
+func TestConcurrentRollups(t *testing.T) {
+	c, err := NewWithMeasures([]string{"A", "B"}, []string{"q"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		gid := id(fmt.Sprintf("a%d", rng.Intn(20)), fmt.Sprintf("b%d", rng.Intn(20)))
+		if err := c.AddMeasured(gid, []MeasureValue{measured(rng.NormFloat64())}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const readers = 8
+	sums := make([]uint64, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var total float64
+			c.MeasureGroupsUnder(0b01, "q", func(_ string, _ int64, sum float64, _ int64) { total += sum })
+			s, _ := c.MeasureSum(0, "", "q")
+			sums[r] = math.Float64bits(total + s)
+		}(r)
+	}
+	wg.Wait()
+	for r := 1; r < readers; r++ {
+		if sums[r] != sums[0] {
+			t.Fatalf("reader %d saw %v, reader 0 saw %v", r, math.Float64frombits(sums[r]), math.Float64frombits(sums[0]))
+		}
+	}
 }

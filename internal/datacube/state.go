@@ -1,56 +1,32 @@
 package datacube
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// GroupCount pairs a finest GroupID with its tuple count and, for cubes
-// tracking measures, the group's exact per-measure SUM and non-null
-// COUNT (aligned with CubeState.Measures). Nil slices on count-only
-// cubes and in states written before measures existed; gob decodes old
-// encodings with the new fields left nil.
+// GroupCount is one finest slot's state: its GroupID, finest key,
+// tuple count and, for cubes tracking measures, the slot's exact
+// per-measure SUM and non-null COUNT (aligned with CubeState.Measures).
+// Key is empty in states written before slots existed, and then defaults
+// to ID.Key(); Sums and NonNull are nil on count-only cubes and in
+// states written before measures existed. gob decodes old encodings
+// with the new fields left zero.
 type GroupCount struct {
 	ID      GroupID
 	Count   int64
 	Sums    []float64
 	NonNull []int64
+	Key     string
 }
 
-// CubeState is the serializable state of a Cube. Only the finest-grouping
-// counts are stored: every coarser grouping's count is the exact sum of
-// the finest counts it covers, so Restore rebuilds the full cube from the
-// finest groups alone via AddN. This keeps snapshots O(groups) instead of
-// O(2^|G| · groups). Measure prefixes follow the same rule: coarser sums
-// are sums of finest sums.
+// CubeState is the serializable state of a Cube. Only the finest slots
+// are stored: every coarser grouping's count is the exact sum of the
+// finest counts it covers, so Restore rebuilds the full cube from the
+// slots alone. This keeps snapshots O(groups) instead of
+// O(2^|G| · groups). Measures are stored per slot in the cube itself,
+// so a restored cube rolls up exactly what the live one does.
 type CubeState struct {
 	Attrs    []string
 	Groups   []GroupCount
 	Measures []string
-}
-
-// AddN records n tuples belonging to the given finest group at once,
-// updating every grouping's counter. It is Add generalized to a batch;
-// Restore uses it to rebuild coarser masks from finest-group counts.
-func (c *Cube) AddN(id GroupID, n int64) error {
-	if len(id) != len(c.attrs) {
-		return fmt.Errorf("datacube: group id has %d parts, cube has %d attributes", len(id), len(c.attrs))
-	}
-	if n < 0 {
-		return fmt.Errorf("datacube: negative group count %d", n)
-	}
-	if n == 0 {
-		return nil
-	}
-	for mask := uint32(0); int(mask) < len(c.counts); mask++ {
-		c.counts[mask][id.Project(mask)] += n
-	}
-	finest := id.Key()
-	if _, ok := c.ids[finest]; !ok {
-		c.ids[finest] = append(GroupID(nil), id...)
-	}
-	c.total += n
-	return nil
 }
 
 // State exports the cube's serializable state. Groups are sorted by
@@ -60,24 +36,21 @@ func (c *Cube) State() *CubeState {
 		Attrs:    append([]string(nil), c.attrs...),
 		Measures: append([]string(nil), c.measures...),
 	}
-	finestMask := c.FinestMask()
-	finest := c.counts[finestMask]
-	keys := make([]string, 0, len(finest))
-	for k := range finest {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, s := range c.rollupOrder() {
+		if c.n[s] == 0 {
+			continue
+		}
 		gc := GroupCount{
-			ID:    append(GroupID(nil), c.ids[k]...),
-			Count: finest[k],
+			ID:    append(GroupID(nil), c.ids[s]...),
+			Count: c.n[s],
+			Key:   c.keys[s],
 		}
 		if len(c.measures) > 0 {
 			gc.Sums = make([]float64, len(c.measures))
 			gc.NonNull = make([]int64, len(c.measures))
 			for mi := range c.measures {
-				gc.Sums[mi] = c.sums[mi][finestMask][k]
-				gc.NonNull[mi] = c.nonNull[mi][finestMask][k]
+				gc.Sums[mi] = c.sums[mi][s]
+				gc.NonNull[mi] = c.nonNull[mi][s]
 			}
 		}
 		st.Groups = append(st.Groups, gc)
@@ -95,18 +68,18 @@ func RestoreCube(st *CubeState) (*Cube, error) {
 		return nil, err
 	}
 	for _, g := range st.Groups {
-		if len(st.Measures) > 0 {
-			sums, nonNull := g.Sums, g.NonNull
-			if sums == nil {
-				sums = make([]float64, len(st.Measures))
-			}
-			if nonNull == nil {
-				nonNull = make([]int64, len(st.Measures))
-			}
-			if err := c.AddMeasuredN(g.ID, g.Count, sums, nonNull); err != nil {
-				return nil, err
-			}
-		} else if err := c.AddN(g.ID, g.Count); err != nil {
+		key := g.Key
+		if key == "" {
+			key = g.ID.Key()
+		}
+		sums, nonNull := g.Sums, g.NonNull
+		if sums == nil {
+			sums = make([]float64, len(st.Measures))
+		}
+		if nonNull == nil {
+			nonNull = make([]int64, len(st.Measures))
+		}
+		if err := c.addMeasuredN([]byte(key), g.ID, g.Count, sums, nonNull); err != nil {
 			return nil, err
 		}
 	}
