@@ -317,11 +317,11 @@ func BenchmarkMaintenanceInsert(b *testing.B) {
 	rows := tpcd.MustGenerate(tpcd.Params{TableSize: 100_000, NumGroups: 1000, Seed: 2}).Rows()
 	makeMaintainers := func() map[string]core.Maintainer {
 		rng := rand.New(rand.NewSource(3))
-		hm, _ := core.NewHouseMaintainer(g, 5000, rng)
-		sm, _ := core.NewSenateMaintainer(g, 5000, rng)
-		bm, _ := core.NewBasicCongressMaintainer(g, 5000, rng)
-		cm, _ := core.NewCongressMaintainer(g, 5000, rng)
-		dm, _ := core.NewCongressDeltaMaintainer(g, 5000, rng)
+		hm, _ := core.NewHouseMaintainer(g, nil, 5000, rng)
+		sm, _ := core.NewSenateMaintainer(g, nil, 5000, rng)
+		bm, _ := core.NewBasicCongressMaintainer(g, nil, 5000, rng)
+		cm, _ := core.NewCongressMaintainer(g, nil, 5000, rng)
+		dm, _ := core.NewCongressDeltaMaintainer(g, nil, 5000, rng)
 		return map[string]core.Maintainer{
 			"House": hm, "Senate": sm, "BasicCongress": bm,
 			"CongressEq8": cm, "CongressDelta": dm,

@@ -144,25 +144,29 @@ type Synopsis struct {
 	gidByKey map[string]int64
 	pending  int64 // maintainer inserts not yet surfaced by Refresh
 
+	// maintainer holds the synopsis's one group cube (Cube()): it counts
+	// every insert there and reads its group counts back, and the hybrid
+	// estimator (see hybrid.go) reads the same cube's measures, fed
+	// under mu by the same insert.
 	maintainer core.Maintainer
 
-	// exact is the hybrid estimator's exact-aggregate cube (see
-	// hybrid.go): SUM/COUNT measures over G for every numeric base
-	// column, fed under mu by the same insert stream as the maintainer.
-	// The pointer is fixed at creation/restore (nil when unavailable);
-	// contents are guarded by mu. exactEpoch is the synopsis epoch the
-	// cube was last proven synchronized at — ExactPartials answers only
-	// while exactEpoch == epoch. The ordinal maps are immutable after
-	// creation.
-	exact            *datacube.Cube
+	// hybrid is fixed at creation/restore: false when the cube carries no
+	// measures (restored from a state whose measures were exported
+	// stale). exactEpoch is the synopsis epoch the measures were last
+	// proven synchronized at — ExactPartials answers only while
+	// exactEpoch == epoch. The ordinal maps are immutable after creation.
+	hybrid           bool
 	exactEpoch       atomic.Uint64
 	exactMeasureIdx  []int                   // schema ordinals of tracked measures
 	exactMeasureName map[int]string          // schema ordinal -> measure name
 	exactGroupPos    map[int]int             // schema ordinal -> position in G
 	exactVals        []datacube.MeasureValue // feed scratch, under mu
 
-	// key is the insert path's finest-key scratch, under mu: one key per
-	// row feeds both the maintainer and the exact cube.
+	// labels renders each cube slot's grouping values once (slotLabels).
+	labelsMu sync.Mutex
+	labels   [][]string
+
+	// key is the insert path's finest-key scratch, under mu.
 	key []byte
 
 	// Relations registered in the catalog, one layout per rewrite
@@ -265,38 +269,39 @@ func (a *Aqua) CreateSynopsis(cfg Config) (*Synopsis, error) {
 		return nil, err
 	}
 
-	// Arm the matching maintainer and seed it with the current table
-	// contents, so later Refresh snapshots cover the whole relation —
-	// this pass is exactly the paper's one-pass construction.
+	// Arm the matching maintainer over the synopsis's group cube and seed
+	// it with the current table contents, so later Refresh snapshots
+	// cover the whole relation — this pass is exactly the paper's
+	// one-pass construction — and the hybrid estimator is live from
+	// creation.
+	_, measures := measureColumns(rel.Schema)
+	groupCube, err := datacube.NewWithMeasures(g.Attrs, measures)
+	if err != nil {
+		return nil, err
+	}
 	switch cfg.Strategy {
 	case core.House:
-		s.maintainer, err = core.NewHouseMaintainer(g, cfg.Space, rng)
+		s.maintainer, err = core.NewHouseMaintainer(g, groupCube, cfg.Space, rng)
 	case core.Senate:
-		s.maintainer, err = core.NewSenateMaintainer(g, cfg.Space, rng)
+		s.maintainer, err = core.NewSenateMaintainer(g, groupCube, cfg.Space, rng)
 	case core.BasicCongress:
-		s.maintainer, err = core.NewBasicCongressMaintainer(g, cfg.Space, rng)
+		s.maintainer, err = core.NewBasicCongressMaintainer(g, groupCube, cfg.Space, rng)
 	default:
 		if cfg.DeltaMaintenance {
-			s.maintainer, err = core.NewCongressDeltaMaintainer(g, cfg.Space, rng)
+			s.maintainer, err = core.NewCongressDeltaMaintainer(g, groupCube, cfg.Space, rng)
 		} else {
-			s.maintainer, err = core.NewCongressMaintainer(g, cfg.Space, rng)
+			s.maintainer, err = core.NewCongressMaintainer(g, groupCube, cfg.Space, rng)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	// The exact cube shares the seeding pass below, so the hybrid
-	// estimator is live from creation. A build failure (cannot happen for
-	// a schema that passed NewGrouping, but defensive) just disables
-	// hybrid answering; the sample path is unaffected.
-	if exact, ords, byOrd, groupPos, cerr := newExactCube(rel.Schema, g.Attrs); cerr == nil {
-		s.exact, s.exactMeasureIdx, s.exactMeasureName, s.exactGroupPos = exact, ords, byOrd, groupPos
+	if err := s.bindMeasures(rel.Schema); err != nil {
+		return nil, err
 	}
 	rows := rel.Rows()
 	for _, row := range rows {
-		s.key = g.AppendKey(s.key[:0], row)
-		s.maintainer.InsertKeyed(row, s.key)
-		s.feedExactLocked(row, s.key)
+		s.feedLocked(row)
 	}
 
 	// Two construction scans (cube + materialize) plus the maintainer
@@ -484,8 +489,9 @@ type AllocationRow struct {
 // among the finest groups — the per-synopsis analogue of the paper's
 // Figure 5 — sorted by descending target.
 func (s *Synopsis) AllocationTable() []AllocationRow {
-	groupIdx := s.grouping.Columns()
-	st := s.Sample()
+	s.mu.RLock()
+	st, cube := s.sample, s.maintainer.Cube()
+	labels := s.slotLabels(cube)
 	out := make([]AllocationRow, 0, st.NumStrata())
 	st.Each(func(str *sample.Stratum[engine.Row]) {
 		row := AllocationRow{
@@ -494,13 +500,14 @@ func (s *Synopsis) AllocationTable() []AllocationRow {
 			Target:     s.alloc.Targets[str.Key],
 			Actual:     len(str.Items),
 		}
-		if len(str.Items) > 0 {
-			for _, ci := range groupIdx {
-				row.Group = append(row.Group, str.Items[0][ci].String())
-			}
+		// The label comes from the group's cube slot, so a group with no
+		// sampled tuple is labelled too.
+		if slot, ok := cube.Lookup([]byte(str.Key)); ok {
+			row.Group = append([]string(nil), labels[slot]...)
 		}
 		out = append(out, row)
 	})
+	s.mu.RUnlock()
 	// Total order (target desc, then group, then population) so repeated
 	// calls — and hence API responses and tests — render identically.
 	sort.Slice(out, func(i, j int) bool {
@@ -560,7 +567,8 @@ func (s *Synopsis) Pending() int64 {
 // Maintainer exposes the incremental maintainer armed at creation.
 // Maintainers are not internally synchronized: callers driving one
 // directly must not race with concurrent Insert or Refresh on the same
-// synopsis.
+// synopsis. A row inserted through it directly is counted in the
+// synopsis's cube without its measures; Synopsis.Insert adds both.
 func (s *Synopsis) Maintainer() core.Maintainer { return s.maintainer }
 
 // Insert feeds a newly inserted warehouse tuple to the synopsis
@@ -568,22 +576,27 @@ func (s *Synopsis) Maintainer() core.Maintainer { return s.maintainer }
 // Aqua never re-reads it, per Section 6). Safe for concurrent use with
 // Refresh and with readers.
 func (s *Synopsis) Insert(row engine.Row) {
-	s.mu.Lock()
-	s.key = s.grouping.AppendKey(s.key[:0], row)
-	s.maintainer.InsertKeyed(row, s.key)
-	s.feedExactLocked(row, s.key)
-	hasExact := s.exact != nil
-	s.pending++
-	s.mu.Unlock()
+	hybrid := s.feed(row)
 	s.tel.MaintainerInsert()
 	e := s.bumpEpoch()
-	if hasExact {
+	if hybrid {
 		// The insert fed both the base relation (caller) and the cube, so
-		// the cube is synchronized at the epoch this insert produced. Any
-		// interleaved non-insert mutation bumps the epoch past e and wins:
-		// syncExactEpoch never advances past the freshest proven point.
+		// the measures are synchronized at the epoch this insert produced.
+		// Any interleaved non-insert mutation bumps the epoch past e and
+		// wins: syncExactEpoch never advances past the freshest proven
+		// point.
 		s.syncExactEpoch(e)
 	}
+}
+
+// feed runs feedLocked under the lock and reports whether the row's
+// measures went into the cube.
+func (s *Synopsis) feed(row engine.Row) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.feedLocked(row)
+	s.pending++
+	return s.hybrid
 }
 
 // Epoch returns the synopsis's current data version. Every maintainer
@@ -605,8 +618,8 @@ func (s *Synopsis) ID() uint64 { return s.id }
 //
 // Callers that are NOT insert feeds (Refresh, UpdateScaleFactor,
 // restore) leave exactEpoch behind on purpose: the advance marks the
-// exact cube unproven, disabling hybrid answering until the next insert
-// re-synchronizes it (see hybrid.go).
+// cube's measures unproven, disabling hybrid answering until the next
+// insert re-synchronizes them (see hybrid.go).
 func (s *Synopsis) bumpEpoch() uint64 {
 	e := s.epoch.Add(1)
 	s.tel.CacheInvalidation()

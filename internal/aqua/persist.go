@@ -3,11 +3,11 @@ package aqua
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
 	"github.com/approxdb/congress/internal/core"
-	"github.com/approxdb/congress/internal/datacube"
 	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/sample"
 )
@@ -27,13 +27,13 @@ type SynopsisState struct {
 	Pending int64
 	// Strata is the materialized sample snapshot, sorted by stratum key.
 	Strata []*sample.Stratum[engine.Row]
-	// Maintainer is the incremental maintainer's state.
+	// Maintainer is the incremental maintainer's state, with the
+	// synopsis's group cube. The cube keeps its measures only when they
+	// were proven synchronized at export time; a count-only cube — and
+	// a snapshot written before the maintainer's cube carried measures —
+	// restores a synopsis with hybrid answering disabled until it is
+	// rebuilt; everything else works.
 	Maintainer *core.MaintainerState
-	// ExactCube is the hybrid estimator's exact-aggregate cube, exported
-	// only when it was proven synchronized at export time. Nil — and in
-	// snapshots written before hybrid estimation existed — restores a
-	// synopsis with hybrid answering disabled; everything else works.
-	ExactCube *datacube.CubeState
 }
 
 // ExportState captures the synopsis's serializable state. The export is
@@ -54,8 +54,8 @@ func (s *Synopsis) ExportState() (*SynopsisState, error) {
 		Pending:    s.pending,
 		Maintainer: sm.ExportState(),
 	}
-	if s.exact != nil && s.exactEpoch.Load() == s.epoch.Load() {
-		st.ExactCube = s.exact.State()
+	if !s.hybrid || s.exactEpoch.Load() != s.epoch.Load() {
+		st.Maintainer.Cube.DropMeasures()
 	}
 	s.sample.Each(func(str *sample.Stratum[engine.Row]) {
 		st.Strata = append(st.Strata, &sample.Stratum[engine.Row]{
@@ -111,9 +111,17 @@ func (a *Aqua) RestoreSynopsis(st *SynopsisState) (*Synopsis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("aqua: restoring synopsis for %q: %w", cfg.Table, err)
 	}
+	if !slices.Equal(maint.Cube().Attrs(), g.Attrs) {
+		return nil, fmt.Errorf("aqua: restoring synopsis for %q: maintainer groups by %v, synopsis by %v", cfg.Table, maint.Cube().Attrs(), g.Attrs)
+	}
 
 	smpl := sample.NewStratified[engine.Row]()
 	for _, str := range st.Strata {
+		for _, row := range str.Items {
+			if len(row) != len(rel.Schema.Cols) {
+				return nil, fmt.Errorf("aqua: restoring synopsis for %q: sampled row has %d columns, table has %d", cfg.Table, len(row), len(rel.Schema.Cols))
+			}
+		}
 		smpl.Put(&sample.Stratum[engine.Row]{
 			Key:        str.Key,
 			Population: str.Population,
@@ -134,22 +142,16 @@ func (a *Aqua) RestoreSynopsis(st *SynopsisState) (*Synopsis, error) {
 		pending:    st.Pending,
 		maintainer: maint,
 	}
+	if err := s.bindMeasures(rel.Schema); err != nil {
+		return nil, err
+	}
 	s.epoch.Store(st.Epoch + 1)
-	// Rebuild the hybrid exact cube only from a state that carried one
-	// (exported fresh); it was synchronized with the snapshot's data cut,
-	// so it is synchronized with the restored relation — WAL records
-	// replayed after this restore re-feed it through the normal insert
-	// path. A legacy or stale-at-export state restores with hybrid
-	// answering disabled.
-	if st.ExactCube != nil {
-		exact, ords, byOrd, groupPos, cerr := newExactCube(rel.Schema, g.Attrs)
-		if cerr == nil {
-			restored, rerr := datacube.RestoreCube(st.ExactCube)
-			if rerr == nil && exact.Merge(restored) == nil {
-				s.exact, s.exactMeasureIdx, s.exactMeasureName, s.exactGroupPos = exact, ords, byOrd, groupPos
-				s.exactEpoch.Store(st.Epoch + 1)
-			}
-		}
+	// Measures travel only in a state exported while they were fresh, so
+	// they are synchronized with the snapshot's data cut and hence with
+	// the restored relation — WAL records replayed after this restore
+	// feed them through the normal insert path.
+	if s.hybrid {
+		s.exactEpoch.Store(st.Epoch + 1)
 	}
 	bumpSynopsisSeq(st.ID)
 	s.nameTables()

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
+	"github.com/approxdb/congress/internal/datacube"
 	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/sample"
 )
@@ -17,8 +19,12 @@ type Maintainer interface {
 	Insert(row engine.Row)
 	// InsertKeyed is Insert for a caller that already computed the row's
 	// finest group key with Grouping.AppendKey. The key is only read
-	// during the call.
-	InsertKeyed(row engine.Row, key []byte)
+	// during the call. It returns the row's slot in Cube(), where the
+	// caller may add the row's measures.
+	InsertKeyed(row engine.Row, key []byte) int
+	// Cube returns the group cube every inserted tuple is counted in. The
+	// maintainer reads its group counts (n_g, n_{g,T}, m_T) from it.
+	Cube() *datacube.Cube
 	// Snapshot returns the current sample as strata keyed by finest
 	// group, with populations for scale-factor computation.
 	Snapshot() (*sample.Stratified[engine.Row], error)
@@ -28,23 +34,102 @@ type Maintainer interface {
 	SeenCount() int64
 }
 
-// HouseMaintainer maintains a House sample: a single reservoir of
-// capacity X over the whole insert stream, plus per-group population
-// counts so Snapshot can report per-stratum scale factors.
-type HouseMaintainer struct {
+// groupCube is the part every maintainer shares: the grouping and the
+// synopsis's group cube. An insert is counted once, in the cube, and the
+// maintainer reads populations back from it, so no maintainer keeps
+// group counts of its own.
+type groupCube struct {
 	g    *Grouping
-	res  *sample.Reservoir[engine.Row]
-	pops map[string]int64
-	seen int64
+	cube *datacube.Cube
+	key  []byte // scratch for the keys of rows already counted
 }
 
-// NewHouseMaintainer creates a House maintainer with capacity x.
-func NewHouseMaintainer(g *Grouping, x int, rng *rand.Rand) (*HouseMaintainer, error) {
+// newGroupCube pairs g with cube, or with a new count-only cube over g's
+// attributes when cube is nil.
+func newGroupCube(g *Grouping, cube *datacube.Cube) (groupCube, error) {
+	if cube == nil {
+		var err error
+		if cube, err = datacube.New(g.Attrs); err != nil {
+			return groupCube{}, err
+		}
+	}
+	if !slices.Equal(cube.Attrs(), g.Attrs) {
+		return groupCube{}, fmt.Errorf("core: cube over %v cannot back a maintainer grouping by %v", cube.Attrs(), g.Attrs)
+	}
+	return groupCube{g: g, cube: cube}, nil
+}
+
+// Cube implements Maintainer.
+func (c *groupCube) Cube() *datacube.Cube { return c.cube }
+
+// SeenCount implements Maintainer: the cube counts every inserted tuple.
+func (c *groupCube) SeenCount() int64 { return c.cube.Total() }
+
+// count records one row, whose finest key the caller computed, in the
+// cube and returns the row's slot.
+func (c *groupCube) count(row engine.Row, key []byte) int {
+	slot := c.g.slot(c.cube, row, key)
+	c.cube.AddSlot(slot, 1)
+	return slot
+}
+
+// pop returns n_g for the finest group of the slot.
+func (c *groupCube) pop(slot int) int64 {
+	return c.cube.SlotCount(c.cube.FinestMask(), slot)
+}
+
+// rowKey computes the finest key of a row into the scratch buffer.
+func (c *groupCube) rowKey(row engine.Row) []byte {
+	c.key = c.g.AppendKey(c.key[:0], row)
+	return c.key
+}
+
+// newSnapshot returns an empty stratum, registered in st, for every
+// non-empty finest group, holding the group's population. strata is
+// indexed by slot and is nil at slots with no tuples.
+func (c *groupCube) newSnapshot() (st *sample.Stratified[engine.Row], strata []*sample.Stratum[engine.Row]) {
+	st = sample.NewStratified[engine.Row]()
+	strata = make([]*sample.Stratum[engine.Row], c.cube.NumSlots())
+	c.cube.FinestSlots(func(slot int, key string, n int64) {
+		strata[slot] = &sample.Stratum[engine.Row]{Key: key, Population: n}
+		st.Put(strata[slot])
+	})
+	return st, strata
+}
+
+// placeRow appends a sampled row to the stratum of its own group. A
+// row whose group has no population means the maintainer state is
+// internally inconsistent (e.g. a restore fed rows the cube never
+// counted).
+func (c *groupCube) placeRow(strata []*sample.Stratum[engine.Row], row engine.Row) error {
+	slot, ok := c.cube.Lookup(c.rowKey(row))
+	if !ok || strata[slot] == nil {
+		return fmt.Errorf("core: maintainer holds a sampled row for group %q with no population", c.key)
+	}
+	strata[slot].Items = append(strata[slot].Items, row)
+	return nil
+}
+
+// HouseMaintainer maintains a House sample: a single reservoir of
+// capacity X over the whole insert stream. Per-group populations come
+// from the cube, so Snapshot can report per-stratum scale factors.
+type HouseMaintainer struct {
+	groupCube
+	res *sample.Reservoir[engine.Row]
+}
+
+// NewHouseMaintainer creates a House maintainer with capacity x that
+// counts into cube (nil: a count-only cube of its own).
+func NewHouseMaintainer(g *Grouping, cube *datacube.Cube, x int, rng *rand.Rand) (*HouseMaintainer, error) {
+	gc, err := newGroupCube(g, cube)
+	if err != nil {
+		return nil, err
+	}
 	res, err := sample.NewReservoir[engine.Row](x, rng)
 	if err != nil {
 		return nil, err
 	}
-	return &HouseMaintainer{g: g, res: res, pops: make(map[string]int64)}, nil
+	return &HouseMaintainer{groupCube: gc, res: res}, nil
 }
 
 // Insert implements Maintainer.
@@ -54,34 +139,22 @@ func (m *HouseMaintainer) Insert(row engine.Row) {
 }
 
 // InsertKeyed implements Maintainer.
-func (m *HouseMaintainer) InsertKeyed(row engine.Row, key []byte) {
-	m.pops[string(key)]++
-	m.seen++
+func (m *HouseMaintainer) InsertKeyed(row engine.Row, key []byte) int {
+	slot := m.count(row, key)
 	m.res.Offer(row)
+	return slot
 }
 
 // SampledCount implements Maintainer.
 func (m *HouseMaintainer) SampledCount() int { return m.res.Len() }
 
-// SeenCount implements Maintainer.
-func (m *HouseMaintainer) SeenCount() int64 { return m.seen }
-
 // Snapshot implements Maintainer.
 func (m *HouseMaintainer) Snapshot() (*sample.Stratified[engine.Row], error) {
-	st := sample.NewStratified[engine.Row]()
-	for key, pop := range m.pops {
-		st.Put(&sample.Stratum[engine.Row]{Key: key, Population: pop})
-	}
+	st, strata := m.newSnapshot()
 	for _, row := range m.res.Items() {
-		key := m.g.Key(row)
-		s, ok := st.Get(key)
-		if !ok {
-			// Every sampled row's group must have a population entry; a
-			// miss means the maintainer state is internally inconsistent
-			// (e.g. a restore fed rows the population map never saw).
-			return nil, fmt.Errorf("core: house maintainer holds a sampled row for group %q with no population entry", key)
+		if err := m.placeRow(strata, row); err != nil {
+			return nil, err
 		}
-		s.Items = append(s.Items, row)
 	}
 	if err := st.Validate(); err != nil {
 		return nil, err
@@ -95,26 +168,23 @@ func (m *HouseMaintainer) Snapshot() (*sample.Stratified[engine.Row], error) {
 // reservoirs are lazily shrunk toward the reduced target so the total
 // stays within X, exactly as Section 6 prescribes.
 type SenateMaintainer struct {
-	g      *Grouping
+	groupCube
 	x      int
 	rng    *rand.Rand
-	groups map[string]*sample.Reservoir[engine.Row]
-	pops   map[string]int64
-	seen   int64
+	groups []*sample.Reservoir[engine.Row] // by cube slot
 }
 
-// NewSenateMaintainer creates a Senate maintainer with budget x.
-func NewSenateMaintainer(g *Grouping, x int, rng *rand.Rand) (*SenateMaintainer, error) {
+// NewSenateMaintainer creates a Senate maintainer with budget x that
+// counts into cube (nil: a count-only cube of its own).
+func NewSenateMaintainer(g *Grouping, cube *datacube.Cube, x int, rng *rand.Rand) (*SenateMaintainer, error) {
 	if x <= 0 {
 		return nil, errBudget
 	}
-	return &SenateMaintainer{
-		g:      g,
-		x:      x,
-		rng:    rng,
-		groups: make(map[string]*sample.Reservoir[engine.Row]),
-		pops:   make(map[string]int64),
-	}, nil
+	gc, err := newGroupCube(g, cube)
+	if err != nil {
+		return nil, err
+	}
+	return &SenateMaintainer{groupCube: gc, x: x, rng: rng}, nil
 }
 
 // target returns the per-group capacity X/m (at least 1).
@@ -136,24 +206,22 @@ func (m *SenateMaintainer) Insert(row engine.Row) {
 }
 
 // InsertKeyed implements Maintainer.
-func (m *SenateMaintainer) InsertKeyed(row engine.Row, keyBytes []byte) {
-	key := string(keyBytes)
-	m.pops[key]++
-	m.seen++
-	res, ok := m.groups[key]
-	if !ok {
-		res = sample.MustReservoir[engine.Row](m.target(), m.rng)
-		m.groups[key] = res
+func (m *SenateMaintainer) InsertKeyed(row engine.Row, key []byte) int {
+	slot := m.count(row, key)
+	for len(m.groups) <= slot {
+		m.groups = append(m.groups, sample.MustReservoir[engine.Row](m.target(), m.rng))
 		// A new group shrinks everyone's target; evict lazily now so
 		// the total returns under budget.
 		m.shrinkAll()
 	}
+	res := m.groups[slot]
 	res.Offer(row)
 	// The shared target may have shrunk since this reservoir last saw a
 	// tuple; trim it opportunistically.
 	if t := m.target(); res.Len() > t {
 		mustShrink(res, t, m.rng)
 	}
+	return slot
 }
 
 func (m *SenateMaintainer) shrinkAll() {
@@ -184,16 +252,13 @@ func (m *SenateMaintainer) SampledCount() int {
 	return n
 }
 
-// SeenCount implements Maintainer.
-func (m *SenateMaintainer) SeenCount() int64 { return m.seen }
-
 // Snapshot implements Maintainer.
 func (m *SenateMaintainer) Snapshot() (*sample.Stratified[engine.Row], error) {
 	st := sample.NewStratified[engine.Row]()
-	for key, res := range m.groups {
+	for slot, res := range m.groups {
 		st.Put(&sample.Stratum[engine.Row]{
-			Key:        key,
-			Population: m.pops[key],
+			Key:        m.cube.SlotKey(slot),
+			Population: m.pop(slot),
 			Items:      append([]engine.Row(nil), res.Items()...),
 		})
 	}

@@ -4,92 +4,80 @@ import (
 	"fmt"
 	"math/rand"
 
+	"github.com/approxdb/congress/internal/datacube"
 	"github.com/approxdb/congress/internal/engine"
 	"github.com/approxdb/congress/internal/sample"
 )
 
-// BasicCongressMaintainer incrementally maintains a Basic Congress
-// sample per the Section 6 algorithm: a single reservoir sample of size
-// Y over the entire relation, plus per-group "delta" uniform samples
-// holding the extra tuples that small groups need beyond their share of
-// the reservoir. Theorem 6.1 proves this maintains a valid basic
-// congressional sample; TestBasicCongressMaintainerUniformity checks the
-// delta-uniformity invariant empirically.
-type BasicCongressMaintainer struct {
-	g   *Grouping
-	y   int
-	rng *rand.Rand
+// deltaSampler is the reservoir-plus-delta algorithm of Section 6: a
+// single reservoir sample of size Y over the entire relation, plus
+// per-group "delta" uniform samples holding the extra tuples that small
+// groups need beyond their share of the reservoir. Basic Congress and
+// Congress-delta both run it; they differ only in each group's target
+// (see target).
+type deltaSampler struct {
+	groupCube
+	kind string // KindBasicCongress or KindCongressDelta
+	y    int
+	rng  *rand.Rand
 
 	res   *sample.Reservoir[engine.Row]
-	slots groupSlots     // finest group key -> slot
-	pops  []int64        // n_g, by slot
-	x     []int          // tuples per group currently in the reservoir
-	delta [][]engine.Row // per-group spill-over uniform samples
-	seen  int64
-	key   []byte // scratch for evicted rows' keys
+	x     []int          // reservoir tuples per finest group, by cube slot
+	delta [][]engine.Row // spill-over uniform samples, by cube slot
 }
 
-// groupSlots numbers finest group keys densely in first-seen order, so
-// per-group state lives in slices indexed by slot.
-type groupSlots struct {
-	index map[string]int
-	keys  []string
-}
+// BasicCongressMaintainer incrementally maintains a Basic Congress
+// sample per the Section 6 algorithm, whose per-group target is the
+// Senate share Y/m. Theorem 6.1 proves this maintains a valid basic
+// congressional sample; TestBasicCongressMaintainerUniformity checks the
+// delta-uniformity invariant empirically.
+type BasicCongressMaintainer struct{ deltaSampler }
 
-// lookup returns the slot of key. It does not allocate.
-func (g *groupSlots) lookup(key []byte) (int, bool) {
-	s, ok := g.index[string(key)]
-	return s, ok
-}
-
-// intern returns the slot of key, numbering it on first sight.
-func (g *groupSlots) intern(key []byte) int {
-	if s, ok := g.index[string(key)]; ok {
-		return s
+// newDeltaSampler creates the shared state of a Basic Congress or
+// Congress-delta maintainer with reservoir size y.
+func newDeltaSampler(kind string, g *Grouping, cube *datacube.Cube, y int, rng *rand.Rand) (deltaSampler, error) {
+	gc, err := newGroupCube(g, cube)
+	if err != nil {
+		return deltaSampler{}, err
 	}
-	if g.index == nil {
-		g.index = make(map[string]int)
+	res, err := sample.NewReservoir[engine.Row](y, rng)
+	if err != nil {
+		return deltaSampler{}, err
 	}
-	s := len(g.keys)
-	k := string(key)
-	g.index[k] = s
-	g.keys = append(g.keys, k)
-	return s
+	return deltaSampler{groupCube: gc, kind: kind, y: y, rng: rng, res: res}, nil
 }
 
 // NewBasicCongressMaintainer creates a maintainer with reservoir size y
 // (the pre-scaling allocation; see the discussion after Theorem 6.1 on
-// the fluctuating total size).
-func NewBasicCongressMaintainer(g *Grouping, y int, rng *rand.Rand) (*BasicCongressMaintainer, error) {
-	res, err := sample.NewReservoir[engine.Row](y, rng)
+// the fluctuating total size) that counts into cube (nil: a count-only
+// cube of its own).
+func NewBasicCongressMaintainer(g *Grouping, cube *datacube.Cube, y int, rng *rand.Rand) (*BasicCongressMaintainer, error) {
+	d, err := newDeltaSampler(KindBasicCongress, g, cube, y, rng)
 	if err != nil {
 		return nil, err
 	}
-	return &BasicCongressMaintainer{g: g, y: y, rng: rng, res: res}, nil
+	return &BasicCongressMaintainer{d}, nil
 }
 
-// slotFor returns the slot of the group with the given key, sizing the
-// per-slot state to cover it.
-func (m *BasicCongressMaintainer) slotFor(key []byte) int {
-	slot := m.slots.intern(key)
-	for len(m.pops) <= slot {
-		m.pops = append(m.pops, 0)
+// target is the group's requirement: the Senate share Y/m for Basic
+// Congress, the full Congress pre-scaling target for Congress-delta.
+func (m *deltaSampler) target(slot int) float64 {
+	if m.kind == KindCongressDelta {
+		return m.congressTarget(slot)
+	}
+	return float64(m.y) / float64(m.cube.NumGroups(m.cube.FinestMask()))
+}
+
+// grow sizes the per-slot samples to cover slot.
+func (m *deltaSampler) grow(slot int) {
+	for len(m.x) <= slot {
 		m.x = append(m.x, 0)
 		m.delta = append(m.delta, nil)
 	}
-	return slot
-}
-
-// target is the Senate-side per-group requirement Y/m.
-func (m *BasicCongressMaintainer) target() float64 {
-	if len(m.pops) == 0 {
-		return float64(m.y)
-	}
-	return float64(m.y) / float64(len(m.pops))
 }
 
 // Insert implements Maintainer.
-func (m *BasicCongressMaintainer) Insert(row engine.Row) {
+func (m *deltaSampler) Insert(row engine.Row) {
 	var buf [64]byte
 	m.InsertKeyed(row, m.g.AppendKey(buf[:0], row))
 }
@@ -98,11 +86,10 @@ func (m *BasicCongressMaintainer) Insert(row engine.Row) {
 // paper's algorithm. Step 4 (new group): m grows, so every group's delta
 // target shrinks; evictions happen lazily as groups are touched, and we
 // trim the group we touch below.
-func (m *BasicCongressMaintainer) InsertKeyed(row engine.Row, key []byte) {
-	slot := m.slotFor(key)
-	m.pops[slot]++
-	m.seen++
-	target := m.target()
+func (m *deltaSampler) InsertKeyed(row engine.Row, key []byte) int {
+	slot := m.count(row, key)
+	m.grow(slot)
+	target := m.target(slot)
 
 	evicted, hadEviction, accepted := m.res.Offer(row)
 	switch {
@@ -111,15 +98,15 @@ func (m *BasicCongressMaintainer) InsertKeyed(row engine.Row, key []byte) {
 		// while a group is smaller than its target, every tuple that
 		// misses the reservoir goes to the delta sample, keeping the
 		// group fully represented.
-		if float64(m.pops[slot]) <= target {
+		if float64(m.pop(slot)) <= target {
 			m.delta[slot] = append(m.delta[slot], row)
 		}
 	case !hadEviction:
 		// Reservoir still filling: the tuple joined the reservoir.
 		m.x[slot]++
 	default:
-		m.key = m.g.AppendKey(m.key[:0], evicted)
-		ev := m.slotFor(m.key)
+		ev := m.g.slot(m.cube, evicted, m.rowKey(evicted))
+		m.grow(ev)
 		if ev == slot {
 			// Step 2: same group swapped with itself — nothing changes.
 			break
@@ -133,15 +120,16 @@ func (m *BasicCongressMaintainer) InsertKeyed(row engine.Row, key []byte) {
 		// the evicted tuple (a uniform pick from the group's reservoir
 		// tuples) moves to the delta sample.
 		m.x[ev]--
-		if float64(m.x[ev]) < target {
+		if float64(m.x[ev]) < m.target(ev) {
 			m.delta[ev] = append(m.delta[ev], evicted)
 		}
 	}
 	m.trimDelta(slot, target)
+	return slot
 }
 
 // evictDelta removes one uniformly random tuple from a delta sample.
-func (m *BasicCongressMaintainer) evictDelta(slot int) {
+func (m *deltaSampler) evictDelta(slot int) {
 	d := m.delta[slot]
 	i := m.rng.Intn(len(d))
 	last := len(d) - 1
@@ -152,7 +140,7 @@ func (m *BasicCongressMaintainer) evictDelta(slot int) {
 // trimDelta enforces |Δ_g| ≤ max(0, ⌈target⌉ − x_g) by uniformly random
 // eviction — the lazy eviction of step 4 (random eviction preserves the
 // uniform-sample property per Theorem 6.1).
-func (m *BasicCongressMaintainer) trimDelta(slot int, target float64) {
+func (m *deltaSampler) trimDelta(slot int, target float64) {
 	limit := int(target+0.9999) - m.x[slot]
 	if limit < 0 {
 		limit = 0
@@ -164,17 +152,16 @@ func (m *BasicCongressMaintainer) trimDelta(slot int, target float64) {
 
 // Compact applies the lazy delta trimming to every group at once,
 // bounding total size; useful before Snapshot on long-running streams.
-func (m *BasicCongressMaintainer) Compact() {
-	target := m.target()
+func (m *deltaSampler) Compact() {
 	for slot, d := range m.delta {
 		if len(d) > 0 {
-			m.trimDelta(slot, target)
+			m.trimDelta(slot, m.target(slot))
 		}
 	}
 }
 
 // SampledCount implements Maintainer.
-func (m *BasicCongressMaintainer) SampledCount() int {
+func (m *deltaSampler) SampledCount() int {
 	n := m.res.Len()
 	for _, d := range m.delta {
 		n += len(d)
@@ -182,35 +169,22 @@ func (m *BasicCongressMaintainer) SampledCount() int {
 	return n
 }
 
-// SeenCount implements Maintainer.
-func (m *BasicCongressMaintainer) SeenCount() int64 { return m.seen }
-
 // Snapshot implements Maintainer: each stratum holds the group's
 // reservoir tuples plus its delta sample.
-func (m *BasicCongressMaintainer) Snapshot() (*sample.Stratified[engine.Row], error) {
+func (m *deltaSampler) Snapshot() (*sample.Stratified[engine.Row], error) {
 	m.Compact()
-	strata := make([]*sample.Stratum[engine.Row], len(m.pops))
-	st := sample.NewStratified[engine.Row]()
-	for slot, pop := range m.pops {
-		if pop > 0 {
-			strata[slot] = &sample.Stratum[engine.Row]{Key: m.slots.keys[slot], Population: pop}
-			st.Put(strata[slot])
-		}
-	}
+	st, strata := m.newSnapshot()
 	for _, row := range m.res.Items() {
-		m.key = m.g.AppendKey(m.key[:0], row)
-		slot, ok := m.slots.lookup(m.key)
-		if !ok || strata[slot] == nil {
-			return nil, fmt.Errorf("core: basic congress maintainer holds a reservoir row for group %q with no population entry", m.key)
+		if err := m.placeRow(strata, row); err != nil {
+			return nil, err
 		}
-		strata[slot].Items = append(strata[slot].Items, row)
 	}
 	for slot, d := range m.delta {
 		if len(d) == 0 {
 			continue
 		}
 		if strata[slot] == nil {
-			return nil, fmt.Errorf("core: basic congress maintainer holds a delta sample for group %q with no population entry", m.slots.keys[slot])
+			return nil, fmt.Errorf("core: %s maintainer holds a delta sample for group %q with no population", m.kind, m.cube.SlotKey(slot))
 		}
 		strata[slot].Items = append(strata[slot].Items, d...)
 	}

@@ -23,13 +23,10 @@ import (
 // periodically), which yields the same distribution since the coin flips
 // compose multiplicatively.
 type CongressMaintainer struct {
-	g   *Grouping
-	y   float64
-	rng *rand.Rand
-
-	cube  *datacube.Cube
+	groupCube
+	y     float64
+	rng   *rand.Rand
 	items []congItem
-	seen  int64
 
 	// rebalanceEvery bounds memory: a full lazy-decay pass runs after
 	// this many inserts. 0 disables periodic rebalancing.
@@ -45,20 +42,19 @@ type congItem struct {
 // NewCongressMaintainer creates a maintainer with pre-scaling space
 // parameter y (Section 6 fixes Y; the realized sample size fluctuates
 // with the data distribution and can be subsampled to a hard budget with
-// SubsampleTo).
-func NewCongressMaintainer(g *Grouping, y int, rng *rand.Rand) (*CongressMaintainer, error) {
+// SubsampleTo) that counts into cube (nil: a count-only cube of its own).
+func NewCongressMaintainer(g *Grouping, cube *datacube.Cube, y int, rng *rand.Rand) (*CongressMaintainer, error) {
 	if y <= 0 {
 		return nil, errBudget
 	}
-	cube, err := datacube.New(g.Attrs)
+	gc, err := newGroupCube(g, cube)
 	if err != nil {
 		return nil, err
 	}
 	return &CongressMaintainer{
-		g:              g,
+		groupCube:      gc,
 		y:              float64(y),
 		rng:            rng,
-		cube:           cube,
 		rebalanceEvery: 4 * int64(y),
 	}, nil
 }
@@ -90,17 +86,16 @@ func (m *CongressMaintainer) Insert(row engine.Row) {
 }
 
 // InsertKeyed implements Maintainer.
-func (m *CongressMaintainer) InsertKeyed(row engine.Row, key []byte) {
-	slot := m.g.slot(m.cube, row, key)
-	m.cube.AddSlot(slot, 1)
-	m.seen++
+func (m *CongressMaintainer) InsertKeyed(row engine.Row, key []byte) int {
+	slot := m.count(row, key)
 	p := m.prob(slot)
 	if sample.Bernoulli(p, m.rng) {
 		m.items = append(m.items, congItem{row: row, slot: slot, p: p})
 	}
-	if m.rebalanceEvery > 0 && m.seen%m.rebalanceEvery == 0 {
+	if m.rebalanceEvery > 0 && m.cube.Total()%m.rebalanceEvery == 0 {
 		m.Rebalance()
 	}
+	return slot
 }
 
 // Rebalance applies the lazy probability decay: every sampled tuple
@@ -144,22 +139,12 @@ func (m *CongressMaintainer) SubsampleTo(x int) {
 // SampledCount implements Maintainer.
 func (m *CongressMaintainer) SampledCount() int { return len(m.items) }
 
-// SeenCount implements Maintainer.
-func (m *CongressMaintainer) SeenCount() int64 { return m.seen }
-
-// Cube exposes the incrementally maintained group-count cube.
-func (m *CongressMaintainer) Cube() *datacube.Cube { return m.cube }
-
 // Snapshot implements Maintainer.
 func (m *CongressMaintainer) Snapshot() (*sample.Stratified[engine.Row], error) {
 	m.Rebalance()
-	st := sample.NewStratified[engine.Row]()
-	m.cube.FinestGroups(func(key string, pop int64) {
-		st.Put(&sample.Stratum[engine.Row]{Key: key, Population: pop})
-	})
+	st, strata := m.newSnapshot()
 	for _, it := range m.items {
-		s, ok := st.Get(m.cube.SlotKey(it.slot))
-		if ok {
+		if s := strata[it.slot]; s != nil {
 			s.Items = append(s.Items, it.row)
 		}
 	}

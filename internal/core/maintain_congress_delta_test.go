@@ -10,7 +10,7 @@ import (
 func TestCongressDeltaMaintainerBasics(t *testing.T) {
 	g := streamGrouping(t)
 	rng := rand.New(rand.NewSource(21))
-	m, err := NewCongressDeltaMaintainer(g, 100, rng)
+	m, err := NewCongressDeltaMaintainer(g, nil, 100, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestCongressDeltaMaintainerBasics(t *testing.T) {
 
 func TestCongressDeltaMaintainerValidation(t *testing.T) {
 	g := streamGrouping(t)
-	if _, err := NewCongressDeltaMaintainer(g, 0, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := NewCongressDeltaMaintainer(g, nil, 0, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("zero Y accepted")
 	}
 }
@@ -49,7 +49,7 @@ func TestCongressDeltaSmallGroupBoost(t *testing.T) {
 	// its House share.
 	g := streamGrouping(t)
 	rng := rand.New(rand.NewSource(22))
-	m, _ := NewCongressDeltaMaintainer(g, 120, rng)
+	m, _ := NewCongressDeltaMaintainer(g, nil, 120, rng)
 	for i := int64(0); i < 20000; i++ {
 		m.Insert(streamRow("big", "x", i))
 	}
@@ -90,7 +90,7 @@ func TestCongressDeltaMatchesEq8Expectation(t *testing.T) {
 	)
 	sizes := map[string]float64{}
 	for trial := 0; trial < trials; trial++ {
-		m, err := NewCongressDeltaMaintainer(g, Y, rng)
+		m, err := NewCongressDeltaMaintainer(g, nil, Y, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestCongressDeltaImplementsMaintainer(t *testing.T) {
 	g := streamGrouping(t)
 	rng := rand.New(rand.NewSource(24))
 	var m Maintainer
-	cm, err := NewCongressDeltaMaintainer(g, 30, rng)
+	cm, err := NewCongressDeltaMaintainer(g, nil, 30, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

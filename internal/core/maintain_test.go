@@ -31,7 +31,7 @@ func streamGrouping(t testing.TB) *Grouping {
 func TestHouseMaintainerBasics(t *testing.T) {
 	g := streamGrouping(t)
 	rng := rand.New(rand.NewSource(1))
-	m, err := NewHouseMaintainer(g, 50, rng)
+	m, err := NewHouseMaintainer(g, nil, 50, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestHouseMaintainerBasics(t *testing.T) {
 
 func TestHouseMaintainerValidation(t *testing.T) {
 	g := streamGrouping(t)
-	if _, err := NewHouseMaintainer(g, 0, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := NewHouseMaintainer(g, nil, 0, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("zero capacity accepted")
 	}
 }
@@ -66,7 +66,7 @@ func TestHouseMaintainerValidation(t *testing.T) {
 func TestSenateMaintainerEqualizes(t *testing.T) {
 	g := streamGrouping(t)
 	rng := rand.New(rand.NewSource(2))
-	m, err := NewSenateMaintainer(g, 100, rng)
+	m, err := NewSenateMaintainer(g, nil, 100, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSenateMaintainerEqualizes(t *testing.T) {
 func TestSenateMaintainerShrinksOnNewGroups(t *testing.T) {
 	g := streamGrouping(t)
 	rng := rand.New(rand.NewSource(3))
-	m, _ := NewSenateMaintainer(g, 60, rng)
+	m, _ := NewSenateMaintainer(g, nil, 60, rng)
 	// First a single group fills the budget.
 	for i := int64(0); i < 500; i++ {
 		m.Insert(streamRow("g0", "x", i))
@@ -123,7 +123,7 @@ func TestSenateMaintainerShrinksOnNewGroups(t *testing.T) {
 
 func TestSenateMaintainerValidation(t *testing.T) {
 	g := streamGrouping(t)
-	if _, err := NewSenateMaintainer(g, -1, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := NewSenateMaintainer(g, nil, -1, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("negative budget accepted")
 	}
 }
@@ -131,7 +131,7 @@ func TestSenateMaintainerValidation(t *testing.T) {
 func TestBasicCongressMaintainerSmallGroupFullyHeld(t *testing.T) {
 	g := streamGrouping(t)
 	rng := rand.New(rand.NewSource(4))
-	m, err := NewBasicCongressMaintainer(g, 100, rng)
+	m, err := NewBasicCongressMaintainer(g, nil, 100, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestBasicCongressMaintainerSmallGroupFullyHeld(t *testing.T) {
 func TestBasicCongressMaintainerBudgetDiscipline(t *testing.T) {
 	g := streamGrouping(t)
 	rng := rand.New(rand.NewSource(5))
-	m, _ := NewBasicCongressMaintainer(g, 200, rng)
+	m, _ := NewBasicCongressMaintainer(g, nil, 200, rng)
 	for gi := 0; gi < 10; gi++ {
 		for i := int64(0); i < 1000; i++ {
 			m.Insert(streamRow("g"+strconv.Itoa(gi), "x", i))
@@ -203,7 +203,7 @@ func TestBasicCongressMaintainerUniformity(t *testing.T) {
 	)
 	counts := make(map[int64]int)
 	for trial := 0; trial < trials; trial++ {
-		m, _ := NewBasicCongressMaintainer(g, baseCap, rng)
+		m, _ := NewBasicCongressMaintainer(g, nil, baseCap, rng)
 		// Interleave two groups so evictions cross groups regularly.
 		bi, si := int64(0), int64(0)
 		for i := 0; i < bigN+smallN; i++ {
@@ -250,7 +250,7 @@ func TestCongressMaintainerExpectation(t *testing.T) {
 	const trials = 60
 	sizes := make(map[string]float64)
 	for trial := 0; trial < trials; trial++ {
-		m, err := NewCongressMaintainer(g, Y, rng)
+		m, err := NewCongressMaintainer(g, nil, Y, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func TestCongressMaintainerExpectation(t *testing.T) {
 func TestCongressMaintainerSubsampleTo(t *testing.T) {
 	g := streamGrouping(t)
 	rng := rand.New(rand.NewSource(8))
-	m, _ := NewCongressMaintainer(g, 200, rng)
+	m, _ := NewCongressMaintainer(g, nil, 200, rng)
 	for i := int64(0); i < 5000; i++ {
 		m.Insert(streamRow("a"+strconv.FormatInt(i%5, 10), "b"+strconv.FormatInt(i%2, 10), i))
 	}
@@ -331,7 +331,7 @@ func TestCongressMaintainerSubsampleTo(t *testing.T) {
 
 func TestCongressMaintainerValidation(t *testing.T) {
 	g := streamGrouping(t)
-	if _, err := NewCongressMaintainer(g, 0, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := NewCongressMaintainer(g, nil, 0, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("zero Y accepted")
 	}
 }
@@ -339,10 +339,10 @@ func TestCongressMaintainerValidation(t *testing.T) {
 func TestMaintainerInterfaceCompliance(t *testing.T) {
 	g := streamGrouping(t)
 	rng := rand.New(rand.NewSource(9))
-	hm, _ := NewHouseMaintainer(g, 10, rng)
-	sm, _ := NewSenateMaintainer(g, 10, rng)
-	bm, _ := NewBasicCongressMaintainer(g, 10, rng)
-	cm, _ := NewCongressMaintainer(g, 10, rng)
+	hm, _ := NewHouseMaintainer(g, nil, 10, rng)
+	sm, _ := NewSenateMaintainer(g, nil, 10, rng)
+	bm, _ := NewBasicCongressMaintainer(g, nil, 10, rng)
+	cm, _ := NewCongressMaintainer(g, nil, 10, rng)
 	for _, m := range []Maintainer{hm, sm, bm, cm} {
 		for i := int64(0); i < 100; i++ {
 			m.Insert(streamRow("a"+strconv.FormatInt(i%2, 10), "b", i))
@@ -375,7 +375,7 @@ func TestMaintainerMatchesBatchBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := NewSenateMaintainer(g, 90, rng)
+	m, _ := NewSenateMaintainer(g, nil, 90, rng)
 	for _, row := range rel.Rows() {
 		m.Insert(row)
 	}

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/approxdb/congress/internal/datacube"
 	"github.com/approxdb/congress/internal/engine"
@@ -40,10 +42,9 @@ type MaintainerState struct {
 	Reservoir *sample.ReservoirState[engine.Row]
 	// Groups holds Senate's per-group reservoirs.
 	Groups map[string]*sample.ReservoirState[engine.Row]
-	// Pops is the per-group population map (house, senate, basic).
+	// Pops is the per-group population map older house, senate and
+	// basic states carry in place of Cube. It is only read.
 	Pops map[string]int64
-	// Seen is the number of tuples inserted so far.
-	Seen int64
 	// Budget is the maintainer's space parameter: X for House/Senate,
 	// the pre-scaling Y for the Congress family.
 	Budget int
@@ -52,7 +53,8 @@ type MaintainerState struct {
 	// Delta holds the per-group spill-over samples (basic,
 	// congress-delta).
 	Delta map[string][]engine.Row
-	// Cube is the group-count data cube (congress, congress-delta).
+	// Cube is the group cube every inserted tuple is counted in, with
+	// the measures of the synopsis that owns it.
 	Cube *datacube.CubeState
 	// Items are the Eq. 8 sampled tuples with their stored selection
 	// probabilities (congress).
@@ -76,133 +78,108 @@ type StatefulMaintainer interface {
 	ExportState() *MaintainerState
 }
 
-func copyPops(m map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
+// state returns the fields every kind exports.
+func (c *groupCube) state(kind string, budget int) *MaintainerState {
+	return &MaintainerState{
+		Kind:   kind,
+		Attrs:  append([]string(nil), c.g.Attrs...),
+		Budget: budget,
+		Cube:   c.cube.State(),
 	}
-	return out
 }
 
 // ExportState implements StatefulMaintainer.
 func (m *HouseMaintainer) ExportState() *MaintainerState {
-	return &MaintainerState{
-		Kind:      KindHouse,
-		Attrs:     append([]string(nil), m.g.Attrs...),
-		Reservoir: m.res.State(),
-		Pops:      copyPops(m.pops),
-		Seen:      m.seen,
-		Budget:    m.res.Cap(),
-	}
+	st := m.state(KindHouse, m.res.Cap())
+	st.Reservoir = m.res.State()
+	return st
 }
 
 // ExportState implements StatefulMaintainer.
 func (m *SenateMaintainer) ExportState() *MaintainerState {
-	groups := make(map[string]*sample.ReservoirState[engine.Row], len(m.groups))
-	for k, res := range m.groups {
-		groups[k] = res.State()
+	st := m.state(KindSenate, m.x)
+	st.Groups = make(map[string]*sample.ReservoirState[engine.Row], len(m.groups))
+	for slot, res := range m.groups {
+		st.Groups[m.cube.SlotKey(slot)] = res.State()
 	}
-	return &MaintainerState{
-		Kind:   KindSenate,
-		Attrs:  append([]string(nil), m.g.Attrs...),
-		Groups: groups,
-		Pops:   copyPops(m.pops),
-		Seen:   m.seen,
-		Budget: m.x,
-	}
+	return st
 }
 
-// slotMaps exports per-slot reservoir counts and delta samples as maps
-// keyed by each slot's finest group key.
-func slotMaps(keys func(slot int) string, x []int, delta [][]engine.Row) (map[string]int, map[string][]engine.Row) {
-	xs := make(map[string]int)
-	ds := make(map[string][]engine.Row)
-	for slot, n := range x {
+// ExportState implements StatefulMaintainer. Per-slot reservoir counts
+// and delta samples are keyed by each slot's finest group key.
+func (m *deltaSampler) ExportState() *MaintainerState {
+	st := m.state(m.kind, m.y)
+	st.Reservoir = m.res.State()
+	st.X = make(map[string]int)
+	st.Delta = make(map[string][]engine.Row)
+	for slot, n := range m.x {
 		if n != 0 {
-			xs[keys(slot)] = n
+			st.X[m.cube.SlotKey(slot)] = n
 		}
-		if len(delta[slot]) > 0 {
-			ds[keys(slot)] = append([]engine.Row(nil), delta[slot]...)
+		if len(m.delta[slot]) > 0 {
+			st.Delta[m.cube.SlotKey(slot)] = append([]engine.Row(nil), m.delta[slot]...)
 		}
 	}
-	return xs, ds
-}
-
-// restoreSlotMaps is slotMaps inverted: slot(key) resolves a key to its
-// slot, and the returned slices cover n slots.
-func restoreSlotMaps(n int, slot func(key string) (int, error), xs map[string]int, ds map[string][]engine.Row) ([]int, [][]engine.Row, error) {
-	x := make([]int, n)
-	delta := make([][]engine.Row, n)
-	for key, v := range xs {
-		s, err := slot(key)
-		if err != nil {
-			return nil, nil, err
-		}
-		x[s] = v
-	}
-	for key, d := range ds {
-		s, err := slot(key)
-		if err != nil {
-			return nil, nil, err
-		}
-		delta[s] = append([]engine.Row(nil), d...)
-	}
-	return x, delta, nil
-}
-
-// ExportState implements StatefulMaintainer.
-func (m *BasicCongressMaintainer) ExportState() *MaintainerState {
-	pops := make(map[string]int64, len(m.pops))
-	for slot, n := range m.pops {
-		pops[m.slots.keys[slot]] = n
-	}
-	x, delta := slotMaps(func(slot int) string { return m.slots.keys[slot] }, m.x, m.delta)
-	return &MaintainerState{
-		Kind:      KindBasicCongress,
-		Attrs:     append([]string(nil), m.g.Attrs...),
-		Reservoir: m.res.State(),
-		Pops:      pops,
-		Seen:      m.seen,
-		Budget:    m.y,
-		X:         x,
-		Delta:     delta,
-	}
+	return st
 }
 
 // ExportState implements StatefulMaintainer.
 func (m *CongressMaintainer) ExportState() *MaintainerState {
-	items := make([]CongItemState, len(m.items))
+	st := m.state(KindCongress, int(m.y))
+	st.Items = make([]CongItemState, len(m.items))
 	for i, it := range m.items {
-		items[i] = CongItemState{
+		st.Items[i] = CongItemState{
 			Row: it.row,
 			ID:  append(datacube.GroupID(nil), m.cube.SlotID(it.slot)...),
 			P:   it.p,
 		}
 	}
-	return &MaintainerState{
-		Kind:           KindCongress,
-		Attrs:          append([]string(nil), m.g.Attrs...),
-		Seen:           m.seen,
-		Budget:         int(m.y),
-		Cube:           m.cube.State(),
-		Items:          items,
-		RebalanceEvery: m.rebalanceEvery,
-	}
+	st.RebalanceEvery = m.rebalanceEvery
+	return st
 }
 
-// ExportState implements StatefulMaintainer.
-func (m *CongressDeltaMaintainer) ExportState() *MaintainerState {
-	x, delta := slotMaps(m.cube.SlotKey, m.x, m.delta)
-	return &MaintainerState{
-		Kind:      KindCongressDelta,
-		Attrs:     append([]string(nil), m.g.Attrs...),
-		Reservoir: m.res.State(),
-		Seen:      m.seen,
-		Budget:    m.y,
-		X:         x,
-		Delta:     delta,
-		Cube:      m.cube.State(),
+// restoreCube rebuilds a state's group cube: from Cube, or from Pops in
+// an older house, senate or basic state. It is the one place a
+// snapshot's cube enters the process, so it rejects a cube that is not
+// over the state's grouping, or whose slots are not keyed by their own
+// engine group keys, before any insert can trip over it.
+func restoreCube(st *MaintainerState) (*datacube.Cube, error) {
+	var cube *datacube.Cube
+	var err error
+	if st.Cube != nil {
+		cube, err = datacube.RestoreCube(st.Cube)
+	} else {
+		cube, err = datacube.New(st.Attrs)
+		keys := make([]string, 0, len(st.Pops))
+		for k := range st.Pops {
+			keys = append(keys, k)
+		}
+		// Number groups in key order so a restore is deterministic.
+		sort.Strings(keys)
+		for _, k := range keys {
+			if err == nil {
+				err = cube.AddN(strings.Split(k, datacube.KeySep), st.Pops[k])
+			}
+		}
 	}
+	if err != nil {
+		return nil, err
+	}
+	if !slices.Equal(cube.Attrs(), st.Attrs) {
+		return nil, fmt.Errorf("cube over %v, maintainer groups by %v", cube.Attrs(), st.Attrs)
+	}
+	for slot := 0; slot < cube.NumSlots(); slot++ {
+		id := cube.SlotID(slot)
+		if cube.SlotKey(slot) != id.Key() {
+			return nil, fmt.Errorf("cube group %q is keyed %q", id.Key(), cube.SlotKey(slot))
+		}
+		for _, part := range id {
+			if _, err := engine.ParseGroupKey(part); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return cube, nil
 }
 
 // RestoreMaintainer rebuilds a maintainer from exported state, resolving
@@ -214,122 +191,131 @@ func RestoreMaintainer(st *MaintainerState, schema *engine.Schema, rng *rand.Ran
 	if st == nil {
 		return nil, fmt.Errorf("core: nil maintainer state")
 	}
-	g, err := NewGrouping(schema, st.Attrs)
+	m, err := restoreMaintainer(st, schema, rng)
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring %s maintainer: %w", st.Kind, err)
 	}
-	switch st.Kind {
-	case KindHouse:
-		res, err := sample.RestoreReservoir(st.Reservoir, rng)
-		if err != nil {
-			return nil, fmt.Errorf("core: restoring house maintainer: %w", err)
+	return m, nil
+}
+
+func restoreMaintainer(st *MaintainerState, schema *engine.Schema, rng *rand.Rand) (StatefulMaintainer, error) {
+	g, err := NewGrouping(schema, st.Attrs)
+	if err != nil {
+		return nil, err
+	}
+	cube, err := restoreCube(st)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkRows(st, len(schema.Cols)); err != nil {
+		return nil, err
+	}
+	gc := groupCube{g: g, cube: cube}
+	slotOf := func(key string) (int, error) {
+		slot, ok := cube.Lookup([]byte(key))
+		if !ok {
+			return 0, fmt.Errorf("group %q absent from the cube", key)
 		}
-		return &HouseMaintainer{g: g, res: res, pops: copyPops(st.Pops), seen: st.Seen}, nil
-	case KindSenate:
-		m := &SenateMaintainer{
-			g:      g,
-			x:      st.Budget,
-			rng:    rng,
-			groups: make(map[string]*sample.Reservoir[engine.Row], len(st.Groups)),
-			pops:   copyPops(st.Pops),
-			seen:   st.Seen,
-		}
-		if m.x <= 0 {
-			return nil, fmt.Errorf("core: restoring senate maintainer: budget %d", m.x)
-		}
-		for k, rs := range st.Groups {
-			res, err := sample.RestoreReservoir(rs, rng)
-			if err != nil {
-				return nil, fmt.Errorf("core: restoring senate group %q: %w", k, err)
-			}
-			m.groups[k] = res
-		}
-		return m, nil
-	case KindBasicCongress:
-		res, err := sample.RestoreReservoir(st.Reservoir, rng)
-		if err != nil {
-			return nil, fmt.Errorf("core: restoring basic congress maintainer: %w", err)
-		}
-		m := &BasicCongressMaintainer{g: g, y: st.Budget, rng: rng, res: res, seen: st.Seen}
-		// Number groups in key order so a restore is deterministic.
-		keys := make([]string, 0, len(st.Pops))
-		for k := range st.Pops {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			m.pops[m.slotFor([]byte(k))] = st.Pops[k]
-		}
-		lookup := func(key string) (int, error) {
-			s, ok := m.slots.lookup([]byte(key))
-			if !ok {
-				return 0, fmt.Errorf("core: restoring basic congress maintainer: group %q has no population entry", key)
-			}
-			return s, nil
-		}
-		if m.x, m.delta, err = restoreSlotMaps(len(m.pops), lookup, st.X, st.Delta); err != nil {
+		return slot, nil
+	}
+	// The stream-wide reservoir sees every tuple the cube counts.
+	var res *sample.Reservoir[engine.Row]
+	if st.Kind == KindHouse || st.Kind == KindBasicCongress || st.Kind == KindCongressDelta {
+		if res, err = sample.RestoreReservoir(st.Reservoir, rng); err != nil {
 			return nil, err
 		}
+		if res.Seen() != cube.Total() {
+			return nil, fmt.Errorf("reservoir saw %d tuples, the cube counts %d", res.Seen(), cube.Total())
+		}
+	}
+	switch st.Kind {
+	case KindHouse:
+		return &HouseMaintainer{groupCube: gc, res: res}, nil
+	case KindSenate:
+		if st.Budget <= 0 {
+			return nil, fmt.Errorf("budget %d", st.Budget)
+		}
+		m := &SenateMaintainer{groupCube: gc, x: st.Budget, rng: rng, groups: make([]*sample.Reservoir[engine.Row], cube.NumSlots())}
+		for k, rs := range st.Groups {
+			slot, err := slotOf(k)
+			if err != nil {
+				return nil, err
+			}
+			if m.groups[slot], err = sample.RestoreReservoir(rs, rng); err != nil {
+				return nil, fmt.Errorf("group %q: %w", k, err)
+			}
+			if seen, pop := m.groups[slot].Seen(), gc.pop(slot); seen != pop {
+				return nil, fmt.Errorf("group %q reservoir saw %d tuples, the cube counts %d", k, seen, pop)
+			}
+		}
+		if i := slices.Index(m.groups, nil); i >= 0 {
+			return nil, fmt.Errorf("group %q has no reservoir", cube.SlotKey(i))
+		}
 		return m, nil
+	case KindBasicCongress, KindCongressDelta:
+		d := deltaSampler{groupCube: gc, kind: st.Kind, y: st.Budget, rng: rng, res: res,
+			x: make([]int, cube.NumSlots()), delta: make([][]engine.Row, cube.NumSlots())}
+		for key, v := range st.X {
+			slot, err := slotOf(key)
+			if err != nil {
+				return nil, err
+			}
+			d.x[slot] = v
+		}
+		for key, rows := range st.Delta {
+			slot, err := slotOf(key)
+			if err != nil {
+				return nil, err
+			}
+			d.delta[slot] = append([]engine.Row(nil), rows...)
+		}
+		if st.Kind == KindBasicCongress {
+			return &BasicCongressMaintainer{d}, nil
+		}
+		return &CongressDeltaMaintainer{d}, nil
 	case KindCongress:
-		cube, err := datacube.RestoreCube(st.Cube)
-		if err != nil {
-			return nil, fmt.Errorf("core: restoring congress maintainer: %w", err)
+		if st.Budget <= 0 {
+			return nil, fmt.Errorf("budget %d", st.Budget)
 		}
-		m := &CongressMaintainer{
-			g:              g,
-			y:              float64(st.Budget),
-			rng:            rng,
-			cube:           cube,
-			seen:           st.Seen,
-			rebalanceEvery: st.RebalanceEvery,
-		}
-		if m.y <= 0 {
-			return nil, fmt.Errorf("core: restoring congress maintainer: budget %d", st.Budget)
-		}
-		m.items = make([]congItem, len(st.Items))
+		m := &CongressMaintainer{groupCube: gc, y: float64(st.Budget), rng: rng,
+			items: make([]congItem, len(st.Items)), rebalanceEvery: st.RebalanceEvery}
 		for i, it := range st.Items {
 			if it.P <= 0 || it.P > 1 {
-				return nil, fmt.Errorf("core: restoring congress maintainer: item %d has probability %v outside (0,1]", i, it.P)
+				return nil, fmt.Errorf("item %d has probability %v outside (0,1]", i, it.P)
 			}
-			slot, ok := cube.Lookup([]byte(it.ID.Key()))
-			if !ok {
-				return nil, fmt.Errorf("core: restoring congress maintainer: item %d has group %q absent from the cube", i, it.ID)
+			slot, err := slotOf(it.ID.Key())
+			if err != nil {
+				return nil, fmt.Errorf("item %d: %w", i, err)
 			}
 			m.items[i] = congItem{row: it.Row, slot: slot, p: it.P}
 		}
 		return m, nil
-	case KindCongressDelta:
-		res, err := sample.RestoreReservoir(st.Reservoir, rng)
-		if err != nil {
-			return nil, fmt.Errorf("core: restoring congress-delta maintainer: %w", err)
-		}
-		cube, err := datacube.RestoreCube(st.Cube)
-		if err != nil {
-			return nil, fmt.Errorf("core: restoring congress-delta maintainer: %w", err)
-		}
-		lookup := func(key string) (int, error) {
-			s, ok := cube.Lookup([]byte(key))
-			if !ok {
-				return 0, fmt.Errorf("core: restoring congress-delta maintainer: group %q absent from the cube", key)
-			}
-			return s, nil
-		}
-		x, delta, err := restoreSlotMaps(cube.NumSlots(), lookup, st.X, st.Delta)
-		if err != nil {
-			return nil, err
-		}
-		return &CongressDeltaMaintainer{
-			g:     g,
-			y:     st.Budget,
-			rng:   rng,
-			res:   res,
-			cube:  cube,
-			x:     x,
-			delta: delta,
-			seen:  st.Seen,
-		}, nil
 	default:
-		return nil, fmt.Errorf("core: unknown maintainer kind %q", st.Kind)
+		return nil, fmt.Errorf("unknown maintainer kind %q", st.Kind)
 	}
+}
+
+// checkRows rejects a state holding a sampled row whose width differs
+// from the schema's: maintainers read grouping columns from every row
+// they evict or snapshot.
+func checkRows(st *MaintainerState, width int) error {
+	var rows []engine.Row
+	if st.Reservoir != nil {
+		rows = append(rows, st.Reservoir.Items...)
+	}
+	for _, rs := range st.Groups {
+		if rs != nil {
+			rows = append(rows, rs.Items...)
+		}
+	}
+	for _, d := range st.Delta {
+		rows = append(rows, d...)
+	}
+	for _, it := range st.Items {
+		rows = append(rows, it.Row)
+	}
+	if slices.ContainsFunc(rows, func(row engine.Row) bool { return len(row) != width }) {
+		return fmt.Errorf("a sampled row does not have the schema's %d columns", width)
+	}
+	return nil
 }

@@ -71,11 +71,13 @@ func (g GroupID) Key() string {
 
 // Cube counts tuples per group for all 2^n groupings over n grouping
 // attributes. A finest group is a slot: slots are numbered densely in
-// creation order and looked up by their finest key. Count cubes key a
-// slot by GroupID.Key() of its parts; the synopsis exact cube keys it by
-// the engine's group key of the row while its parts are rendered values
-// (Intern), so two slots may share every coarse group, the finest one
-// included.
+// creation order and looked up by their finest key, and coarse groups
+// are keyed by the slot's parts projected under each mask. A synopsis
+// keeps exactly one cube: its parts are the per-attribute engine group
+// keys, so a slot's finest key is GroupID.Key() of its parts, and the
+// same cube carries the measures its hybrid answers read. Intern accepts
+// any key for the parts given; a caller whose parts differ from the key
+// gets slots that may share every coarse group, the finest one included.
 type Cube struct {
 	attrs []string
 	nm    int // 2^|G|: masks per slot

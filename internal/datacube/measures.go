@@ -80,6 +80,15 @@ func (c *Cube) AddMeasuredSlot(slot int, vals []MeasureValue) error {
 		return fmt.Errorf("datacube: %d measure values, cube tracks %d measures", len(vals), len(c.measures))
 	}
 	c.AddSlot(slot, 1)
+	return c.AddMeasures(slot, vals)
+}
+
+// AddMeasures adds one tuple's measure values to the slot's
+// accumulators, for a tuple AddSlot already counted.
+func (c *Cube) AddMeasures(slot int, vals []MeasureValue) error {
+	if len(vals) != len(c.measures) {
+		return fmt.Errorf("datacube: %d measure values, cube tracks %d measures", len(vals), len(c.measures))
+	}
 	for mi, mv := range vals {
 		if mv.OK {
 			c.sums[mi][slot] += mv.V
@@ -173,34 +182,57 @@ func (c *Cube) measureOf(mask uint32, key, col string) (float64, int64, bool) {
 // and non-null count. Returns false (without iterating) if the column is
 // not a tracked measure. Iteration order is unspecified.
 func (c *Cube) MeasureGroupsUnder(mask uint32, col string, fn func(key string, count int64, sum float64, nonNull int64)) bool {
-	return c.MeasureIDsUnder(mask, col, func(_ GroupID, key string, count int64, sum float64, nonNull int64) {
-		fn(key, count, sum, nonNull)
-	})
-}
-
-// MeasureIDsUnder is MeasureGroupsUnder that also passes the parts of
-// one finest slot in each group. The parts at the mask's attributes are
-// the group's own; the others belong to that one slot. The slice is
-// shared; do not modify.
-func (c *Cube) MeasureIDsUnder(mask uint32, col string, fn func(id GroupID, key string, count int64, sum float64, nonNull int64)) bool {
-	mi, ok := c.mIndex[col]
+	g := &c.groups[mask]
+	of := make([]int32, len(g.keys))
+	for ci := range of {
+		of[ci] = int32(ci)
+	}
+	sums, nn, ok := c.MeasureRollup(mask, col, of, len(of))
 	if !ok {
 		return false
 	}
-	g := &c.groups[mask]
-	sums := make([]float64, len(g.keys))
-	nn := make([]int64, len(g.keys))
-	for _, s := range c.rollupOrder() {
-		ci := c.coarse[int(s)*c.nm+int(mask)]
-		sums[ci] += c.sums[mi][s]
-		nn[ci] += c.nonNull[mi][s]
-	}
 	for ci, n := range g.counts {
 		if n > 0 {
-			fn(c.ids[g.rep[ci]], g.keys[ci], n, sums[ci], nn[ci])
+			fn(g.keys[ci], n, sums[ci], nn[ci])
 		}
 	}
 	return true
+}
+
+// GroupSlots returns, indexed by group under grouping mask, one slot of
+// each group, or -1 for a group with no tuples.
+func (c *Cube) GroupSlots(mask uint32) []int32 {
+	g := &c.groups[mask]
+	out := make([]int32, len(g.rep))
+	for ci, n := range g.counts {
+		out[ci] = -1
+		if n > 0 {
+			out[ci] = g.rep[ci]
+		}
+	}
+	return out
+}
+
+// MeasureRollup rolls the named measure up under grouping mask into nb
+// buckets the caller chooses: of[g] is the bucket of group g under the
+// mask (indexed as GroupSlots indexes them), or -1 to leave the group
+// out, so several groups may share a bucket. Slots are summed in sorted
+// finest-key order, as every roll-up is, so a bucket's sum depends only
+// on the finest state. ok is false if the column is not a tracked
+// measure.
+func (c *Cube) MeasureRollup(mask uint32, col string, of []int32, nb int) (sums []float64, nonNull []int64, ok bool) {
+	mi, ok := c.mIndex[col]
+	if !ok {
+		return nil, nil, false
+	}
+	sums, nonNull = make([]float64, nb), make([]int64, nb)
+	for _, s := range c.rollupOrder() {
+		if b := of[c.coarse[int(s)*c.nm+int(mask)]]; b >= 0 {
+			sums[b] += c.sums[mi][s]
+			nonNull[b] += c.nonNull[mi][s]
+		}
+	}
+	return sums, nonNull, true
 }
 
 // sameMeasures reports whether two cubes track the same measure list in

@@ -58,6 +58,15 @@ func (c *Cube) State() *CubeState {
 	return st
 }
 
+// DropMeasures removes the state's measures in place, leaving the state
+// of a count-only cube over the same slots.
+func (st *CubeState) DropMeasures() {
+	st.Measures = nil
+	for i := range st.Groups {
+		st.Groups[i].Sums, st.Groups[i].NonNull = nil, nil
+	}
+}
+
 // RestoreCube rebuilds a cube from exported state.
 func RestoreCube(st *CubeState) (*Cube, error) {
 	if st == nil {

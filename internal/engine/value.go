@@ -247,6 +247,36 @@ func (v Value) AppendGroupKey(dst []byte) []byte {
 	}
 }
 
+// ParseGroupKey decodes one GroupKey encoding back into its value. The
+// encoding is frozen (shard routing hashes it), so a key stored in a
+// snapshot decodes the same way as one built from a live row.
+func ParseGroupKey(key string) (Value, error) {
+	if len(key) < 2 || key[0] != 0 {
+		return Value{}, fmt.Errorf("engine: malformed group key %q", key)
+	}
+	switch tag, body := key[1], key[2:]; {
+	case tag == 'n' && body == "":
+		return Null, nil
+	case (tag == 't' || tag == 'f') && body == "":
+		return NewBool(tag == 't'), nil
+	case tag == 's':
+		return NewString(body), nil
+	case tag == 'i' || tag == 'd':
+		i, err := strconv.ParseInt(body, 36, 64)
+		if err == nil && tag == 'i' {
+			return NewInt(i), nil
+		}
+		if err == nil {
+			return NewDate(i), nil
+		}
+	case tag == 'g':
+		if bits, err := strconv.ParseUint(body, 36, 64); err == nil {
+			return NewFloat(math.Float64frombits(bits)), nil
+		}
+	}
+	return Value{}, fmt.Errorf("engine: malformed group key %q", key)
+}
+
 // String renders the value for result display.
 func (v Value) String() string {
 	switch v.K {

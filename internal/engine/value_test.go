@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -105,6 +106,34 @@ func TestGroupKeyIntRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestParseGroupKeyRoundTrip decodes every kind's GroupKey back into a
+// value with the same key and the same rendering, and rejects keys no
+// value encodes to.
+func TestParseGroupKeyRoundTrip(t *testing.T) {
+	vals := []Value{
+		Null, NewBool(true), NewBool(false),
+		NewInt(0), NewInt(-1), NewInt(math.MaxInt64), NewInt(math.MinInt64),
+		NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(1.5), NewFloat(math.NaN()), NewFloat(math.Inf(-1)),
+		NewString(""), NewString("NULL"), NewString("a\x00b"),
+		NewDate(0), NewDate(-3), NewDate(20000),
+	}
+	for _, v := range vals {
+		got, err := ParseGroupKey(v.GroupKey())
+		if err != nil {
+			t.Errorf("%v (%s): %v", v, v.K, err)
+			continue
+		}
+		if got.GroupKey() != v.GroupKey() || got.String() != v.String() {
+			t.Errorf("%v (%s) decoded to %v (%s)", v, v.K, got, got.K)
+		}
+	}
+	for _, bad := range []string{"", "\x00", "x", "\x00nx", "\x00tt", "\x00i", "\x00i!", "\x00d1.5", "\x00g-1", "\x00q"} {
+		if v, err := ParseGroupKey(bad); err == nil {
+			t.Errorf("ParseGroupKey(%q) = %v, want an error", bad, v)
+		}
 	}
 }
 

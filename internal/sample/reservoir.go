@@ -35,7 +35,9 @@ func NewReservoir[T any](capacity int, rng *rand.Rand) (*Reservoir[T], error) {
 	if rng == nil {
 		return nil, errors.New("sample: nil rng")
 	}
-	return &Reservoir[T]{capacity: capacity, skip: -1, items: make([]T, 0, capacity), rng: rng}, nil
+	// A capacity read from an untrusted snapshot must not allocate up
+	// front more than a few items; a larger reservoir grows as it fills.
+	return &Reservoir[T]{capacity: capacity, skip: -1, items: make([]T, 0, min(capacity, 1<<16)), rng: rng}, nil
 }
 
 // MustReservoir is NewReservoir but panics on error.
