@@ -1,11 +1,15 @@
 // Command congressd serves a congressional-samples warehouse over
-// HTTP/JSON, and doubles as its own load generator.
+// HTTP/JSON. Load generation and benchmarking live in the bench/ module
+// (bash bench/run.sh).
 //
-// Serve mode (default) generates or loads a lineitem table, builds a
-// synopsis, and serves the /v1 API until SIGINT/SIGTERM, then drains
-// in-flight requests gracefully:
+// Serve mode (the only mode; the "serve" word is optional) generates
+// or loads a lineitem table, builds a synopsis, and serves the /v1 API
+// until SIGINT/SIGTERM, then drains in-flight requests gracefully:
 //
 //	congressd serve -addr :8642 -rows 200000 -groups 1000 -strategy congress
+//
+// Positional arguments other than a leading "serve" are rejected, so a
+// stray word cannot silently drop the flags after it.
 //
 // With -data-dir the warehouse is durable: state is recovered from the
 // newest snapshot plus WAL replay on startup, every insert and DDL is
@@ -45,55 +49,19 @@
 //
 //	congressd serve -addr :8643 -data-dir /var/lib/congressd-replica \
 //	    -follow http://leader:8642
-//
-// Loadgen mode drives a server with concurrent clients for a fixed
-// duration and reports p50/p95/p99 latency and error rates, writing a
-// machine-readable summary to BENCH_server.json:
-//
-//	congressd loadgen -self -clients 8 -duration 10s
-//	congressd loadgen -url http://localhost:8642 -clients 16 -duration 30s
-//
-// With -self -shards K loadgen drives a sharded in-process server
-// (rotating direct estimates replace the approximate-SQL mix, which
-// sharded mode does not serve) and afterwards benchmarks scatter-gather
-// accuracy against an unsharded build of the same data and exact SQL
-// ground truth, writing BENCH_shard.json:
-//
-//	congressd loadgen -self -shards 4 -clients 8 -duration 10s
-//
-// With -dist-shards K loadgen benchmarks a full distributed deployment
-// spun up in-process — K shard HTTP servers plus a coordinator —
-// against the in-process sharded estimator over the same data, scoring
-// accuracy against exact ground truth and comparing fan-out latency,
-// writing BENCH_distshard.json:
-//
-//	congressd loadgen -dist-shards 4 -rows 50000 -groups 200
-//
-// With -endpoints loadgen runs the replication read-scaling bench
-// instead: a baseline phase reading from the leader alone, then a
-// fan-out phase with the same mix round-robined across the endpoints,
-// sampling follower staleness throughout and writing BENCH_repl.json:
-//
-//	congressd loadgen -url http://leader:8642 \
-//	    -endpoints http://leader:8642,http://f1:8643,http://f2:8644
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
-	"math/rand"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -104,31 +72,20 @@ import (
 	"github.com/approxdb/congress/internal/server"
 	"github.com/approxdb/congress/internal/shard"
 	"github.com/approxdb/congress/internal/tpcd"
-	"github.com/approxdb/congress/internal/workload"
-	"github.com/approxdb/congress/pkg/client"
 )
 
 func main() {
 	args := os.Args[1:]
-	mode := "serve"
-	if len(args) > 0 && (args[0] == "serve" || args[0] == "loadgen") {
-		mode, args = args[0], args[1:]
+	if len(args) > 0 && args[0] == "serve" {
+		args = args[1:]
 	}
-	var err error
-	switch mode {
-	case "serve":
-		err = runServe(args, os.Stdout)
-	case "loadgen":
-		err = runLoadgen(args, os.Stdout)
-	}
-	if err != nil {
+	if err := runServe(args, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "congressd:", err)
 		os.Exit(1)
 	}
 }
 
-// warehouseFlags are the demo-warehouse knobs shared by serve mode and
-// loadgen -self.
+// warehouseFlags are the demo-warehouse knobs of serve mode.
 type warehouseFlags struct {
 	rows         *int
 	groups       *int
@@ -373,6 +330,11 @@ func runServe(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// flag.Parse stops at the first non-flag word; anything after it
+	// (including flags such as -data-dir) would be dropped silently.
+	if fs.NArg() > 0 {
+		return fmt.Errorf("serve: unexpected argument %q (congressd has one mode, serve; flags only)", fs.Arg(0))
+	}
 	log, err := newLogger(*logLevel)
 	if err != nil {
 		return err
@@ -611,481 +573,4 @@ func wipeReplicaState(dir string) error {
 		}
 	}
 	return nil
-}
-
-// ----- loadgen mode -----
-
-// benchReport is the BENCH_server.json schema.
-type benchReport struct {
-	URL           string           `json:"url"`
-	Clients       int              `json:"clients"`
-	DurationSec   float64          `json:"duration_sec"`
-	Requests      int64            `json:"requests"`
-	Errors        int64            `json:"errors"`
-	Shed          int64            `json:"shed"`
-	ErrorRate     float64          `json:"error_rate"`
-	ThroughputRPS float64          `json:"throughput_rps"`
-	LatencyMS     latencySummary   `json:"latency_ms"`
-	ByKind        map[string]int64 `json:"requests_by_kind"`
-	ByCode        map[string]int64 `json:"errors_by_code,omitempty"`
-	CacheHits     int64            `json:"cache_hits"`
-	CacheMisses   int64            `json:"cache_misses"`
-	CacheHitRate  float64          `json:"cache_hit_rate"`
-	Warehouse     map[string]any   `json:"warehouse,omitempty"`
-}
-
-type latencySummary struct {
-	P50  float64 `json:"p50"`
-	P95  float64 `json:"p95"`
-	P99  float64 `json:"p99"`
-	Mean float64 `json:"mean"`
-	Max  float64 `json:"max"`
-}
-
-func runLoadgen(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("congressd loadgen", flag.ContinueOnError)
-	url := fs.String("url", "", "target server base URL (empty with -self runs an in-process server)")
-	self := fs.Bool("self", false, "spin up an in-process server over a generated warehouse")
-	clients := fs.Int("clients", 8, "concurrent client goroutines")
-	duration := fs.Duration("duration", 10*time.Second, "load duration")
-	insertPct := fs.Int("insert-pct", 10, "percent of requests that are inserts")
-	estimatePct := fs.Int("estimate-pct", 20, "percent of requests that are direct estimates")
-	noCache := fs.Bool("no-cache", false, "send no_cache on every query (measure the uncached path)")
-	timeoutMS := fs.Int64("timeout-ms", 0, "per-request timeout_ms to send (0 = server default)")
-	outPath := fs.String("out", "BENCH_server.json", "summary JSON path (empty to skip)")
-	shards := fs.Int("shards", 0, "with -self: run the in-process server sharded across K warehouses (direct estimates replace the approximate-SQL mix)")
-	shardOut := fs.String("shard-out", "BENCH_shard.json", "with -self -shards: scatter-gather accuracy report path (empty to skip)")
-	endpoints := fs.String("endpoints", "", "comma-separated base URLs (leader + followers) to fan reads across: runs the replication read-scaling bench instead of the standard loadgen (-url must point at the leader)")
-	replOut := fs.String("repl-out", "BENCH_repl.json", "with -endpoints: replication bench report path (empty to skip)")
-	distShards := fs.Int("dist-shards", 0, "run the distributed-vs-in-process sharding bench over K shard HTTP servers instead of the standard loadgen")
-	distIters := fs.Int("dist-iters", 50, "with -dist-shards: estimate iterations per latency summary")
-	distOut := fs.String("dist-out", "BENCH_distshard.json", "with -dist-shards: distributed sharding report path (empty to skip)")
-	hybrid := fs.Bool("hybrid", false, "run the hybrid exact+sample coverage bench instead of the standard loadgen")
-	hybridOut := fs.String("hybrid-out", "BENCH_hybrid.json", "with -hybrid: hybrid coverage report path (empty to skip)")
-	seed := fs.Int64("loadgen-seed", 42, "workload RNG seed")
-	wf := addWarehouseFlags(fs)
-	logLevel := fs.String("log-level", "warn", "debug|info|warn|error")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	log, err := newLogger(*logLevel)
-	if err != nil {
-		return err
-	}
-
-	if *distShards > 0 {
-		return runDistBench(out, wf, *distShards, *distIters, *distOut, log)
-	}
-
-	if *hybrid {
-		return runHybridBench(out, wf, *hybridOut, log)
-	}
-
-	if *endpoints != "" {
-		if *url == "" {
-			return errors.New("loadgen: -endpoints needs -url pointing at the leader")
-		}
-		return runReplBench(out, replBenchConfig{
-			leader:    *url,
-			endpoints: splitCSV(*endpoints),
-			clients:   *clients,
-			duration:  *duration,
-			insertPct: *insertPct,
-			noCache:   *noCache,
-			timeoutMS: *timeoutMS,
-			seed:      *seed,
-			outPath:   *replOut,
-		})
-	}
-
-	base := *url
-	var srv *server.Server
-	if base == "" {
-		if !*self {
-			return errors.New("loadgen: need -url or -self")
-		}
-		opts := server.Options{Logger: log}
-		if *shards > 0 {
-			sw, err := buildShardedWarehouse(wf, *shards, log)
-			if err != nil {
-				return err
-			}
-			opts.Sharded = sw
-		} else {
-			w, err := buildWarehouse(wf, log)
-			if err != nil {
-				return err
-			}
-			opts.Warehouse = w
-		}
-		srv = server.New(opts)
-		bound, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		base = "http://" + bound
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		}()
-	}
-
-	c := client.New(base)
-	if err := c.Health(context.Background()); err != nil {
-		return fmt.Errorf("loadgen: target %s not healthy: %w", base, err)
-	}
-
-	type sample struct {
-		d     time.Duration
-		kind  string
-		cache string
-		err   error
-	}
-	var (
-		mu      sync.Mutex
-		samples []sample
-	)
-	ctx, cancel := context.WithTimeout(context.Background(), *duration)
-	defer cancel()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for ci := 0; ci < *clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(*seed + int64(ci)))
-			timed := make([]sample, 0, 1024)
-			for ctx.Err() == nil {
-				t0 := time.Now()
-				kind, cache, err := oneRequest(ctx, c, rng, *insertPct, *estimatePct, *noCache, *timeoutMS, *shards > 0)
-				d := time.Since(t0)
-				if ctx.Err() != nil && err != nil {
-					break // don't count a request cut off by the run deadline
-				}
-				timed = append(timed, sample{d: d, kind: kind, cache: cache, err: err})
-			}
-			mu.Lock()
-			samples = append(samples, timed...)
-			mu.Unlock()
-		}(ci)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep := benchReport{
-		URL:         base,
-		Clients:     *clients,
-		DurationSec: elapsed.Seconds(),
-		ByKind:      map[string]int64{},
-		ByCode:      map[string]int64{},
-	}
-	if *url == "" {
-		rep.Warehouse = map[string]any{
-			"rows": *wf.rows, "groups": *wf.groups, "skew": *wf.skew,
-			"space_pct": *wf.spacePct, "strategy": *wf.strategy,
-		}
-		if *shards > 0 {
-			rep.Warehouse["shards"] = *shards
-		}
-	}
-	lats := make([]float64, 0, len(samples))
-	var sum, max float64
-	for _, s := range samples {
-		rep.Requests++
-		rep.ByKind[s.kind]++
-		switch s.cache {
-		case "hit":
-			rep.CacheHits++
-		case "miss":
-			rep.CacheMisses++
-		}
-		ms := float64(s.d) / float64(time.Millisecond)
-		if s.err != nil {
-			rep.Errors++
-			code := "transport"
-			var ae *client.APIError
-			if errors.As(s.err, &ae) {
-				code = ae.Code
-				if client.IsOverloaded(s.err) {
-					rep.Shed++
-				}
-			}
-			rep.ByCode[code]++
-			continue
-		}
-		lats = append(lats, ms)
-		sum += ms
-		if ms > max {
-			max = ms
-		}
-	}
-	sort.Float64s(lats)
-	if n := len(lats); n > 0 {
-		rep.LatencyMS = latencySummary{
-			P50:  lats[n/2],
-			P95:  lats[min(n-1, n*95/100)],
-			P99:  lats[min(n-1, n*99/100)],
-			Mean: sum / float64(n),
-			Max:  max,
-		}
-	}
-	if rep.Requests > 0 {
-		rep.ErrorRate = float64(rep.Errors) / float64(rep.Requests)
-	}
-	if looked := rep.CacheHits + rep.CacheMisses; looked > 0 {
-		rep.CacheHitRate = float64(rep.CacheHits) / float64(looked)
-	}
-	rep.ThroughputRPS = float64(rep.Requests) / elapsed.Seconds()
-
-	fmt.Fprintf(out, "loadgen: %d clients, %.1fs: %d requests (%.0f req/s), %d errors (%.2f%%), %d shed\n",
-		rep.Clients, rep.DurationSec, rep.Requests, rep.ThroughputRPS, rep.Errors, 100*rep.ErrorRate, rep.Shed)
-	fmt.Fprintf(out, "latency ms: p50=%.2f p95=%.2f p99=%.2f mean=%.2f max=%.2f\n",
-		rep.LatencyMS.P50, rep.LatencyMS.P95, rep.LatencyMS.P99, rep.LatencyMS.Mean, rep.LatencyMS.Max)
-	fmt.Fprintf(out, "cache: %d hits, %d misses (%.1f%% hit rate)\n",
-		rep.CacheHits, rep.CacheMisses, 100*rep.CacheHitRate)
-	if *outPath != "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*outPath, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", *outPath)
-	}
-
-	if *shards > 0 && *shardOut != "" {
-		if *wf.loadCSV != "" {
-			log.Warn("skipping shard accuracy bench: needs a generated table with known ground truth")
-			return nil
-		}
-		srep, err := shardAccuracyBench(wf, *shards, log)
-		if err != nil {
-			return err
-		}
-		for agg, acc := range srep.Aggregates {
-			fmt.Fprintf(out, "shard accuracy %s over %d groups: sharded rel-err mean=%.4f max=%.4f coverage=%.2f; unsharded mean=%.4f max=%.4f coverage=%.2f\n",
-				agg, acc.Groups,
-				acc.Sharded.MeanRelErr, acc.Sharded.MaxRelErr, acc.Sharded.Coverage,
-				acc.Unsharded.MeanRelErr, acc.Unsharded.MaxRelErr, acc.Unsharded.Coverage)
-		}
-		b, err := json.MarshalIndent(srep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*shardOut, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", *shardOut)
-	}
-	return nil
-}
-
-// ----- sharded accuracy bench -----
-
-// shardBenchReport is the BENCH_shard.json schema: scatter-gather
-// estimation accuracy at K shards versus an unsharded synopsis over the
-// same generated data, both judged against exact SQL ground truth.
-type shardBenchReport struct {
-	Shards     int                         `json:"shards"`
-	Rows       int                         `json:"rows"`
-	Groups     int                         `json:"groups"`
-	SpacePct   float64                     `json:"space_pct"`
-	Confidence float64                     `json:"confidence"`
-	GroupBy    []string                    `json:"group_by"`
-	Aggregates map[string]shardAggAccuracy `json:"aggregates"`
-}
-
-// shardAggAccuracy compares one aggregate's sharded and unsharded
-// estimates over the same group set.
-type shardAggAccuracy struct {
-	Groups    int             `json:"groups"`
-	Sharded   accuracySummary `json:"sharded"`
-	Unsharded accuracySummary `json:"unsharded"`
-}
-
-// accuracySummary reports relative error against exact ground truth and
-// the fraction of groups whose confidence bound covered the truth.
-type accuracySummary struct {
-	MeanRelErr float64 `json:"mean_rel_err"`
-	MaxRelErr  float64 `json:"max_rel_err"`
-	Coverage   float64 `json:"bound_coverage"`
-}
-
-// shardAccuracyBench builds pristine sharded and unsharded warehouses
-// over one generated relation (independent of the load-test server, so
-// inserts during the run don't skew the comparison) and scores both
-// estimators' sum/count/avg answers against exact SQL.
-func shardAccuracyBench(wf *warehouseFlags, shards int, log *slog.Logger) (*shardBenchReport, error) {
-	rel, err := loadRelation(wf, log)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := synopsisSpecFor(wf, rel)
-	if err != nil {
-		return nil, err
-	}
-	const conf = 0.95
-	groupBy := spec.GroupBy[:1]
-	aggCol := "l_quantity"
-
-	exactW := congress.Open()
-	if _, err := exactW.AttachRelation(rel); err != nil {
-		return nil, err
-	}
-	res, err := exactW.Query(fmt.Sprintf(
-		"select %s, sum(%s), count(*), avg(%s) from %s group by %s",
-		groupBy[0], aggCol, aggCol, rel.Name, groupBy[0]))
-	if err != nil {
-		return nil, err
-	}
-	truth := make(map[string][3]float64, len(res.Rows)) // group → sum, count, avg
-	for _, r := range res.Rows {
-		s, _ := r[1].AsFloat()
-		c, _ := r[2].AsFloat()
-		a, _ := r[3].AsFloat()
-		truth[r[0].String()] = [3]float64{s, c, a}
-	}
-
-	unW := congress.Open()
-	if _, err := unW.AttachRelation(rel); err != nil {
-		return nil, err
-	}
-	if err := unW.BuildSynopsis(spec); err != nil {
-		return nil, err
-	}
-	sw, err := congress.OpenSharded(shards)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := sw.AttachRelation(rel, spec.GroupBy); err != nil {
-		return nil, err
-	}
-	if err := sw.BuildSynopsis(spec); err != nil {
-		return nil, err
-	}
-
-	rep := &shardBenchReport{
-		Shards: shards, Rows: rel.NumRows(), Groups: len(truth),
-		SpacePct: *wf.spacePct, Confidence: conf, GroupBy: groupBy,
-		Aggregates: make(map[string]shardAggAccuracy, 3),
-	}
-	aggs := []struct {
-		name string
-		agg  congress.Aggregate
-	}{{"sum", congress.Sum}, {"count", congress.Count}, {"avg", congress.Avg}}
-	for ai, a := range aggs {
-		shardedEsts, err := sw.Estimate(rel.Name, groupBy, a.agg, aggCol, conf)
-		if err != nil {
-			return nil, err
-		}
-		unEsts, err := unW.Estimate(rel.Name, groupBy, a.agg, aggCol, conf)
-		if err != nil {
-			return nil, err
-		}
-		acc := shardAggAccuracy{Groups: len(truth)}
-		if acc.Sharded, err = scoreEstimates(shardedEsts, truth, ai); err != nil {
-			return nil, fmt.Errorf("sharded %s: %w", a.name, err)
-		}
-		if acc.Unsharded, err = scoreEstimates(unEsts, truth, ai); err != nil {
-			return nil, fmt.Errorf("unsharded %s: %w", a.name, err)
-		}
-		rep.Aggregates[a.name] = acc
-	}
-	return rep, nil
-}
-
-// scoreEstimates folds one estimator's groups into relative-error and
-// bound-coverage summaries against the exact answers.
-func scoreEstimates(ests []congress.GroupEstimate, truth map[string][3]float64, ai int) (accuracySummary, error) {
-	var acc accuracySummary
-	if len(ests) == 0 {
-		return acc, errors.New("no groups estimated")
-	}
-	covered := 0
-	for _, e := range ests {
-		tr, ok := truth[e.Key]
-		if !ok {
-			return acc, fmt.Errorf("estimated group %q not in ground truth", e.Key)
-		}
-		denom := math.Abs(tr[ai])
-		if denom == 0 {
-			denom = 1
-		}
-		rel := math.Abs(e.Value-tr[ai]) / denom
-		acc.MeanRelErr += rel
-		if rel > acc.MaxRelErr {
-			acc.MaxRelErr = rel
-		}
-		if math.Abs(e.Value-tr[ai]) <= e.Bound {
-			covered++
-		}
-	}
-	acc.MeanRelErr /= float64(len(ests))
-	acc.Coverage = float64(covered) / float64(len(ests))
-	return acc, nil
-}
-
-// scatterMix is the estimate rotation that replaces the
-// approximate-SQL slice of the workload in sharded mode, which only
-// serves direct scatter-gather estimates; entries vary the grouping and
-// aggregate so the fan-out path sees some diversity.
-var scatterMix = []client.EstimateRequest{
-	{Table: "lineitem", GroupBy: []string{"l_returnflag"}, Agg: "sum", Column: "l_quantity"},
-	{Table: "lineitem", GroupBy: []string{"l_linestatus"}, Agg: "count", Column: "l_quantity"},
-	{Table: "lineitem", GroupBy: []string{"l_returnflag", "l_linestatus"}, Agg: "avg", Column: "l_extendedprice"},
-}
-
-// oneRequest issues a single randomized request from the workload mix
-// and reports its kind plus the server's cache disposition (empty for
-// inserts and failures).
-func oneRequest(ctx context.Context, c *client.Client, rng *rand.Rand, insertPct, estimatePct int, noCache bool, timeoutMS int64, sharded bool) (kind, cache string, err error) {
-	roll := rng.Intn(100)
-	switch {
-	case roll < insertPct:
-		row := []any{
-			rng.Int63n(1 << 40), rng.Intn(3), rng.Intn(2),
-			fmt.Sprintf("1994-%02d-%02d", 1+rng.Intn(12), 1+rng.Intn(28)),
-			float64(1 + rng.Intn(50)), 100 * float64(1+rng.Intn(500)),
-		}
-		_, err := c.Insert(ctx, client.InsertRequest{Table: "lineitem", Rows: [][]any{row}})
-		return "insert", "", err
-	case roll < insertPct+estimatePct:
-		resp, err := c.Query(ctx, client.QueryRequest{
-			Estimate: &client.EstimateRequest{
-				Table:   "lineitem",
-				GroupBy: []string{"l_returnflag", "l_linestatus"},
-				Agg:     "sum",
-				Column:  "l_quantity",
-			},
-			NoCache:   noCache,
-			TimeoutMS: timeoutMS,
-		})
-		if err != nil {
-			return "estimate", "", err
-		}
-		return "estimate", resp.Cache, nil
-	default:
-		if sharded {
-			est := scatterMix[rng.Intn(len(scatterMix))]
-			resp, err := c.Query(ctx, client.QueryRequest{Estimate: &est, NoCache: noCache, TimeoutMS: timeoutMS})
-			if err != nil {
-				return "scatter", "", err
-			}
-			return "scatter", resp.Cache, nil
-		}
-		resp, err := c.Query(ctx, client.QueryRequest{SQL: workload.Qg2, NoCache: noCache, TimeoutMS: timeoutMS})
-		if err != nil {
-			return "approx", "", err
-		}
-		return "approx", resp.Cache, nil
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -253,41 +252,6 @@ func TestReplicationEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Leader") != leaderURL {
 		t.Fatalf("follower insert: status %d leader %q, want 503 pointing at %s",
 			resp.StatusCode, resp.Header.Get("Leader"), leaderURL)
-	}
-
-	// The read-scaling bench runs against the live topology and writes
-	// its report.
-	benchPath := filepath.Join(t.TempDir(), "BENCH_repl.json")
-	lgCmd := exec.Command(bin, "loadgen",
-		"-url", leaderURL,
-		"-endpoints", strings.Join([]string{leaderURL, f1URL, f2URL}, ","),
-		"-clients", "4", "-duration", "2s", "-insert-pct", "10", "-no-cache",
-		"-repl-out", benchPath, "-log-level", "warn")
-	if out, err := lgCmd.CombinedOutput(); err != nil {
-		t.Fatalf("loadgen -endpoints: %v\n%s", err, out)
-	}
-	raw, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Baseline struct {
-			Reads int64 `json:"reads"`
-		} `json:"baseline"`
-		FanOut struct {
-			Reads       int64                      `json:"reads"`
-			PerEndpoint map[string]json.RawMessage `json:"per_endpoint"`
-		} `json:"fanout"`
-		ReadScaling float64 `json:"read_scaling"`
-	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("parsing %s: %v", benchPath, err)
-	}
-	if rep.Baseline.Reads == 0 || rep.FanOut.Reads == 0 || rep.ReadScaling <= 0 {
-		t.Fatalf("degenerate bench report: %+v", rep)
-	}
-	if len(rep.FanOut.PerEndpoint) < 2 {
-		t.Fatalf("fan-out phase used %d endpoints, want >= 2", len(rep.FanOut.PerEndpoint))
 	}
 
 	// Graceful shutdowns all around.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 
 	"github.com/approxdb/congress/internal/datacube"
 	"github.com/approxdb/congress/internal/engine"
@@ -172,6 +173,11 @@ type SenateMaintainer struct {
 	x      int
 	rng    *rand.Rand
 	groups []*sample.Reservoir[engine.Row] // by cube slot
+	// byKey lists the slots in finest-key order, the order shrinkAll
+	// visits them in. Slot numbers follow arrival on a live cube but
+	// key order on a restored one, so visiting by slot would make a
+	// restored maintainer draw differently from the live one.
+	byKey []int
 }
 
 // NewSenateMaintainer creates a Senate maintainer with budget x that
@@ -209,6 +215,7 @@ func (m *SenateMaintainer) Insert(row engine.Row) {
 func (m *SenateMaintainer) InsertKeyed(row engine.Row, key []byte) int {
 	slot := m.count(row, key)
 	for len(m.groups) <= slot {
+		m.addSlotByKey(len(m.groups))
 		m.groups = append(m.groups, sample.MustReservoir[engine.Row](m.target(), m.rng))
 		// A new group shrinks everyone's target; evict lazily now so
 		// the total returns under budget.
@@ -224,10 +231,19 @@ func (m *SenateMaintainer) InsertKeyed(row engine.Row, key []byte) int {
 	return slot
 }
 
+// addSlotByKey inserts slot into byKey at its finest-key position.
+func (m *SenateMaintainer) addSlotByKey(slot int) {
+	key := m.cube.SlotKey(slot)
+	i, _ := slices.BinarySearchFunc(m.byKey, key, func(s int, k string) int {
+		return strings.Compare(m.cube.SlotKey(s), k)
+	})
+	m.byKey = slices.Insert(m.byKey, i, slot)
+}
+
 func (m *SenateMaintainer) shrinkAll() {
 	t := m.target()
-	for _, res := range m.groups {
-		if res.Len() > t || res.Cap() > t {
+	for _, slot := range m.byKey {
+		if res := m.groups[slot]; res.Len() > t || res.Cap() > t {
 			mustShrink(res, t, m.rng)
 		}
 	}

@@ -251,6 +251,9 @@ func restoreMaintainer(st *MaintainerState, schema *engine.Schema, rng *rand.Ran
 		if i := slices.Index(m.groups, nil); i >= 0 {
 			return nil, fmt.Errorf("group %q has no reservoir", cube.SlotKey(i))
 		}
+		for slot := range m.groups {
+			m.addSlotByKey(slot)
+		}
 		return m, nil
 	case KindBasicCongress, KindCongressDelta:
 		d := deltaSampler{groupCube: gc, kind: st.Kind, y: st.Budget, rng: rng, res: res,

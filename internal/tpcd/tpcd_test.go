@@ -2,6 +2,7 @@ package tpcd
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/approxdb/congress/internal/core"
@@ -161,5 +162,67 @@ func TestDefaultsApplied(t *testing.T) {
 	p := Params{}.withDefaults()
 	if p.TableSize != 1_000_000 || p.NumGroups != 1000 || math.Abs(p.GroupSkew-0.86) > 1e-12 {
 		t.Errorf("defaults %+v", p)
+	}
+}
+
+// TestLineitemQueriesVectorize pins that the two lineitem queries the
+// columnar speedup is quoted on (scan-filter-aggregate and
+// scan-filter-project, as in BenchmarkVectorized*) run on the
+// columnar path and return exactly the row engine's answer. A planner
+// change that makes either decline would otherwise only show up as a
+// lost speedup.
+func TestLineitemQueriesVectorize(t *testing.T) {
+	rel, err := Generate(Params{TableSize: 5000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := engine.NewCatalog()
+	cat.Register(rel)
+	prev := engine.SetVectorized(true)
+	defer engine.SetVectorized(prev)
+	for _, q := range []struct{ name, sql string }{
+		{
+			"scan_filter_aggregate",
+			"select l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), " +
+				"avg(l_extendedprice), count(*) from lineitem " +
+				"where l_shipdate >= '1994-01-01' and l_quantity < 500 " +
+				"group by l_returnflag, l_linestatus order by l_returnflag, l_linestatus",
+		},
+		{
+			"scan_filter_project",
+			"select l_id, l_quantity, l_extendedprice from lineitem " +
+				"where l_extendedprice > 1400.0 and l_quantity between 100 and 900 " +
+				"order by l_id limit 100",
+		},
+	} {
+		engine.SetVectorized(true)
+		v0, _ := engine.ExecCounts()
+		got, err := engine.ExecuteSQL(cat, q.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		if v1, _ := engine.ExecCounts(); v1 == v0 {
+			t.Errorf("%s fell back to the row engine", q.name)
+		}
+		engine.SetVectorized(false)
+		want, err := engine.ExecuteSQL(cat, q.sql)
+		if err != nil {
+			t.Fatalf("%s (row engine): %v", q.name, err)
+		}
+		if len(want.Rows) == 0 {
+			t.Fatalf("%s selects no rows; the check would be vacuous", q.name)
+		}
+		if !reflect.DeepEqual(got.Columns, want.Columns) || len(got.Rows) != len(want.Rows) {
+			t.Fatalf("%s: vectorized %v × %d rows, row engine %v × %d rows",
+				q.name, got.Columns, len(got.Rows), want.Columns, len(want.Rows))
+		}
+		for r := range want.Rows {
+			for c, w := range want.Rows[r] {
+				g := got.Rows[r][c]
+				if g.K != w.K || g.I != w.I || g.S != w.S || math.Float64bits(g.F) != math.Float64bits(w.F) {
+					t.Fatalf("%s row %d col %d: vectorized %#v, row engine %#v", q.name, r, c, g, w)
+				}
+			}
+		}
 	}
 }
